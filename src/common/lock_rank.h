@@ -76,8 +76,6 @@ enum class LockRank : int {
     ServeClient = 10,
     /// serve::SharedStagePool watchdog-incident latch.
     ServePoolIncident = 20,
-    /// ParallelRuntime::Impl watchdog-incident latch.
-    ExecIncident = 30,
     /// fault::Watchdog polling-loop control (stop flag, incidents).
     FaultWatchdog = 40,
     /// BoundedTaskQueue buffer (stage inboxes, completion queues).

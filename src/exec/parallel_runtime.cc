@@ -1,18 +1,9 @@
 #include "exec/parallel_runtime.h"
 
 #include <algorithm>
-#include <mutex>
-#include <sstream>
 
-#include "common/lock_rank.h"
-#include "common/logging.h"
-#include "exec/commit_gate.h"
-#include "exec/stage_worker.h"
-#include "fault/recovery_policy.h"
-#include "fault/watchdog.h"
-#include "obs/wall_clock.h"
+#include "serve/service.h"
 #include "session/training_session.h"
-#include "train/run_checkpoint.h"
 
 namespace naspipe {
 
@@ -37,386 +28,24 @@ ParallelRuntime::supported(const RuntimeConfig &config,
     return true;
 }
 
-/**
- * The coordinator (the thread calling run()) drives the shared
- * TrainingSession; this Impl is the session's execution backend —
- * it owns the commit gate, the worker threads, the completion queue
- * and the supervision layer (heartbeat watchdog + recovery policy),
- * and dispatches every admitted subnet into stage 0.
- *
- * Gate, workers, completions queue and watchdog are *phase-scoped*:
- * a fail-stop recovery tears them all down (quiesce) and rebuilds
- * them (setup + startWorkers), exactly like the simulator's
- * resetRunState + setup. The fault injector, the recovery policy and
- * the cumulative fault counters live across phases.
- */
-struct ParallelRuntime::Impl : ExecutionBackend {
-    const SearchSpace &space;
-    RuntimeConfig config;
-    SystemModel model;
-    int numStages;
-
-    TrainingSession session;
-
-    std::unique_ptr<CommitGate> gate;
-    std::vector<std::unique_ptr<StageWorker>> workers;
-    std::unique_ptr<BoundedTaskQueue<std::shared_ptr<const SubnetRun>>>
-        completions;
-
-    // Supervision. The watchdog is declared after the completion
-    // queue so it is destroyed first — its incident callback pushes
-    // the nullptr sentinel into `completions`.
-    FaultInjector injector;
-    fault::RecoveryPolicy policy;
-    std::unique_ptr<fault::Watchdog> watchdog;
-    RankedMutex execIncidentMu{LockRank::ExecIncident};
-    int incidentStage = -1;        ///< last incident's victim stage
-    std::string incidentReason;    ///< last incident's description
-    bool failStopPending = false;  ///< coordinator-only freeze flag
-
-    // Cumulative fault/recovery accounting (across phases).
-    int recoveries = 0;
-    int subnetsReplayed = 0;
-    double recoverySecondsTotal = 0.0;
-    double lostComputeSeconds = 0.0;
-    bool retriesExhausted = false;
-
-    obs::TimePoint epoch;
-
-    Impl(const SearchSpace &s, const RuntimeConfig &c)
-        : space(s), config(c), model(c.system),
-          numStages(c.numStages), session(s, config),
-          injector(c.faults),
-          policy(fault::RecoveryPolicy::Config{
-              c.recoveryMaxRetries, c.recoveryBackoffSeconds, 60.0})
-    {
-        NASPIPE_ASSERT(numStages >= 1, "need >= 1 worker");
-        NASPIPE_ASSERT(c.totalSubnets >= 1, "need >= 1 subnet");
-        session.attach(this);
-    }
-
-    double
-    elapsed() const
-    {
-        return obs::secondsSince(epoch);
-    }
-
-    /**
-     * Dispatch subnet @p id into the pipeline. Registration must
-     * precede dispatch: every layer's causal chain is complete for
-     * this subnet before any worker can resolve a claim against it.
-     */
-    void
-    admit(SubnetId id) override
-    {
-        const Subnet &sn = session.subnetOf(id);
-        auto run = std::make_shared<SubnetRun>();
-        run->subnet = sn;
-        run->partition = session.partitionOf(id);
-        // Single-tenant: ticket = sequence ID keeps the workers'
-        // forward queues in Algorithm 2's lowest-ID-first order.
-        run->ticket = static_cast<std::uint64_t>(id);
-        for (int b = 0; b < sn.size(); b++) {
-            if (space.parameterized(b, sn.choice(b)))
-                gate->registerActivation(sn.layer(b).key(), sn.id());
-        }
-        workers[0]->submit(
-            ExecTask{ExecTask::Kind::Forward, std::move(run)});
-    }
-
-    /**
-     * A checkpoint-restored subnet needs no executor-side state:
-     * deliberately NOT registered in the commit gate, so the live
-     * run's causal chains start fresh at rank 0 — which keeps the
-     * CspOracle's commit-monotonicity check valid across a resume
-     * and across in-place recovery (which recreates the gate; a live
-     * oracle resets its cursors via RuntimeConfig::recoveryObserver).
-     * The restored store already holds its weight updates, and the
-     * drained barrier guarantees it held no pipeline token.
-     */
-    void
-    restoreCompleted(SubnetId id) override
-    {
-        (void)id;
-    }
-
-    bool setup();
-    void startWorkers();
-    void quiesce();
-    void checkFaults();
-    bool recover();
-    double joinedBusySum() const;
-    RunResult collect();
-};
-
-bool
-ParallelRuntime::Impl::setup()
-{
-    // Phase-scoped teardown first (recovery re-enters here): the
-    // watchdog before the workers it observes, the workers before
-    // the gate they reference.
-    watchdog.reset();
-    workers.clear();
-    gate = std::make_unique<CommitGate>();
-
-    // Same capacity discipline as the simulator: identical batch =>
-    // identical LR scaling and gradient-noise scale => the numeric
-    // trajectory the equivalence harness compares bitwise.
-    if (!session.initRun())
-        return false;
-
-    // Pre-materialize every layer: after this, worker threads only
-    // ever look up existing entries, so the store's maps need no
-    // structural locking on the hot path.
-    session.store()->materializeAll();
-
-    int limit = model.effectiveInflight(numStages);
-    // A subnet owns exactly one live pipeline token, so `limit`
-    // bounds every inbox; the 2x slack keeps pushes non-blocking.
-    auto inboxCapacity =
-        static_cast<std::size_t>(std::max(2 * limit, 8));
-    completions = std::make_unique<
-        BoundedTaskQueue<std::shared_ptr<const SubnetRun>>>(
-        inboxCapacity);
-
-    StageWorker::ContextConfig ctx;
-    ctx.mode = model.memory;
-    ctx.predictor = model.predictor;
-    ctx.prefetchDepth = model.prefetchDepth;
-    // The §4.2 memory-limit check, same cap as the simulator: the
-    // planned footprint covers the ~3 moving contexts of §3.3;
-    // contexts awaiting their backward pass also linger, so the
-    // enforced budget is 3x the plan.
-    ctx.budgetBytes =
-        model.memory == MemoryMode::AllResident
-            ? 0
-            : 3 * session.plan().residentParamBytesPerGpu;
-
-    for (int k = 0; k < numStages; k++) {
-        workers.push_back(std::make_unique<StageWorker>(
-            k, numStages, space, *gate,
-            config.numeric ? &session.exec() : nullptr,
-            UpdateSemantics::Immediate, inboxCapacity, ctx));
-    }
-    for (int k = 0; k < numStages; k++) {
-        workers[static_cast<std::size_t>(k)]->connect(
-            k + 1 < numStages
-                ? workers[static_cast<std::size_t>(k) + 1].get()
-                : nullptr,
-            k > 0 ? workers[static_cast<std::size_t>(k) - 1].get()
-                  : nullptr,
-            k == 0
-                ? [this](std::shared_ptr<const SubnetRun> run) {
-                      completions->push(std::move(run));
-                  }
-                : std::function<
-                      void(std::shared_ptr<const SubnetRun>)>());
-    }
-    gate->onCommit([this] {
-        for (auto &worker : workers)
-            worker->notify();
-    });
-    if (config.commitObserver)
-        gate->onCommitEvent(config.commitObserver);
-    return true;
-}
-
-void
-ParallelRuntime::Impl::startWorkers()
-{
-    epoch = obs::now();
-    for (auto &worker : workers)
-        worker->start(epoch, config.traceEnabled);
-
-    // Supervision: the watchdog polls the heartbeats and reports the
-    // first incident by pushing the nullptr sentinel into the
-    // completion queue — the coordinator is the single recovery
-    // authority and learns about failures exactly where it already
-    // blocks. Crash detection is state-based (deterministic); the
-    // wall hang deadline is opt-in via RuntimeConfig::wallWatchdog.
-    fault::Watchdog::Config wc;
-    wc.wallDeadline = config.wallWatchdog;
-    wc.deadlineSeconds = config.watchdogDeadlineSeconds;
-    wc.pollMs = config.watchdogPollMs;
-    std::vector<const fault::WorkerHeartbeat *> hearts;
-    hearts.reserve(workers.size());
-    for (const auto &worker : workers)
-        hearts.push_back(&worker->heartbeat());
-    watchdog = std::make_unique<fault::Watchdog>(
-        wc, std::move(hearts),
-        [this](int worker, const std::string &reason) {
-            {
-                std::lock_guard<RankedMutex> lock(execIncidentMu);
-                incidentStage = worker;
-                incidentReason = reason;
-            }
-            completions->push(nullptr);
-        });
-}
-
-void
-ParallelRuntime::Impl::quiesce()
-{
-    // Teardown order matters: the watchdog first (it reads the
-    // heartbeats and could re-fire on a dying worker), then abort
-    // every worker — requestAbort closes each inbox, so a surviving
-    // worker blocked pushing to the dead stage is released — then
-    // join.
-    watchdog.reset();
-    for (auto &worker : workers)
-        worker->requestAbort();
-    for (auto &worker : workers)
-        worker->join();
-}
-
-double
-ParallelRuntime::Impl::joinedBusySum() const
-{
-    double total = 0.0;
-    for (const auto &worker : workers)
-        total += worker->stats().busySec;
-    return total;
-}
+namespace {
 
 /**
- * The fault plan's logical clock is the completion count, same as
- * the simulator: called after every recordCompletion. Fail-stop
- * faults latch a crash into the victim worker and freeze the
- * coordinator (failStopPending) until the watchdog's sentinel
- * arrives; transient faults only perturb timing.
+ * Copy the pool's per-stage accounting into a one-job run's result:
+ * the pool served nothing else, so its workers' stats are the run's.
  */
 void
-ParallelRuntime::Impl::checkFaults()
+addPoolAccounting(const serve::SharedStagePool &pool,
+                  const SystemModel &model, RunResult &out)
 {
-    for (const FaultSpec &f : injector.due(session.finished())) {
-        int stage = std::clamp(f.stage, 0, numStages - 1);
-        session.trace()->add(TraceRecord{
-            ticksFromSec(elapsed()), ticksFromSec(elapsed()), stage,
-            TraceKind::Fault, -1, f.describe()});
-        inform("fault injected: ", f.describe());
-        switch (f.kind) {
-          case FaultKind::GpuCrash:
-            workers[static_cast<std::size_t>(stage)]->injectCrash();
-            failStopPending = true;
-            break;
-          case FaultKind::LinkDrop: {
-            if (numStages < 2)
-                break;  // a one-stage pipeline has no links
-            // The downstream end of the dropped link loses its
-            // traffic — fail-stop for the stage behind it.
-            int b = std::min(stage, numStages - 2);
-            workers[static_cast<std::size_t>(b) + 1]->injectCrash();
-            failStopPending = true;
-            break;
-          }
-          case FaultKind::StageStall: {
-            int ticks = std::max(1, static_cast<int>(f.durationMs));
-            workers[static_cast<std::size_t>(stage)]->injectStall(
-                ticks);
-            break;
-          }
-          case FaultKind::LinkDegrade: {
-            if (numStages < 2)
-                break;
-            int b = std::min(stage, numStages - 2);
-            int tasks = std::max(1, static_cast<int>(f.durationMs));
-            workers[static_cast<std::size_t>(b)]->injectDegrade(
-                tasks);
-            break;
-          }
-        }
-    }
-}
-
-/**
- * In-place recovery after quiesce(): charge the attempt to the
- * policy, roll the session back to the last drained checkpoint,
- * rebuild the phase (gate, workers, watchdog) and respawn. The
- * replayed subnets re-execute in CSP order, so the run lands on the
- * same bits as a fault-free run — the simulator's beginRecovery,
- * re-expressed for threads.
- */
-bool
-ParallelRuntime::Impl::recover()
-{
-    double wallAtCrash = session.secOffset() + elapsed();
-    double busyAtCrash = session.busyOffset() + joinedBusySum();
-
-    RunCheckpoint ckpt;
-    bool haveCkpt = false;
-    if (!session.lastCheckpoint().empty()) {
-        std::istringstream in(session.lastCheckpoint());
-        bool ok = ckpt.load(in);
-        NASPIPE_ASSERT(ok, "in-memory checkpoint unreadable");
-        haveCkpt = true;
-    }
-    recoveries++;
-    subnetsReplayed +=
-        session.finished() - static_cast<int>(ckpt.completed);
-    lostComputeSeconds +=
-        std::max(0.0, busyAtCrash - ckpt.busySeconds);
-    // Modeled, not slept: detection + restart plus the policy's
-    // exponential backoff are charged into the run's time offsets.
-    double backoff = policy.nextBackoffSeconds();
-    recoverySecondsTotal += config.recoverySeconds + backoff;
-    {
-        std::lock_guard<RankedMutex> lock(execIncidentMu);
-        inform("recovering stage ", incidentStage, " (",
-               incidentReason, "): rollback from ",
-               session.finished(), " to ", ckpt.completed,
-               " completed subnets (",
-               session.finished() - static_cast<int>(ckpt.completed),
-               " to replay, attempt ", policy.consecutiveFailures(),
-               ")");
-    }
-
-    if (!setup())
-        return false;  // cannot happen: the same plan fit before
-    session.setTimeOffsets(
-        wallAtCrash + config.recoverySeconds + backoff,
-        ckpt.busySeconds);
-    if (haveCkpt && !session.restore(ckpt))
-        return false;
-    // restore() drops version-map entries of layers restored at
-    // version 0; re-materialize so the hot path stays structurally
-    // read-only for the respawned workers.
-    session.store()->materializeAll();
-    // initRun() reset the trace (the simulator loses its pre-crash
-    // trace the same way) — the recovery span opens the new phase.
-    session.trace()->add(TraceRecord{
-        0, 0, std::max(incidentStage, 0), TraceKind::Recovery, -1,
-        "rollback to " + std::to_string(ckpt.completed) +
-            ", attempt " +
-            std::to_string(policy.consecutiveFailures())});
-    // The gate was recreated, so every causal chain restarts at rank
-    // 0 — a live CspOracle resets its cursors through this hook.
-    if (config.recoveryObserver)
-        config.recoveryObserver(recoveries);
-    failStopPending = false;
-    startWorkers();
-    return true;
-}
-
-RunResult
-ParallelRuntime::Impl::collect()
-{
-    double wall = elapsed();
-    double busySum = 0.0;
-    for (const auto &worker : workers)
-        busySum += worker->stats().busySec;
-
-    RunResult out = session.collect(session.secOffset() + wall,
-                                    session.busyOffset() + busySum);
     RunMetrics &m = out.metrics;
-    // wallSeconds is this process's real run time; simSeconds (set by
-    // the session) additionally carries the producing run's seconds
-    // across a resume, so throughput consumers work unchanged.
-    m.wallSeconds = wall;
-    m.execWorkers = numStages;
-
+    double wall = m.wallSeconds;
     double bubbleTotal = 0.0;
-    for (const auto &worker : workers) {
-        const StageWorker::Stats &s = worker->stats();
+    std::uint64_t hits = 0, misses = 0;
+    std::vector<TraceRecord> merged;
+    for (int k = 0; k < pool.numStages(); k++) {
+        const StageWorker &worker = pool.worker(k);
+        const StageWorker::Stats &s = worker.stats();
         m.perStageBusySec.push_back(s.busySec);
         m.perStageGateWaitSec.push_back(s.gateWaitSec);
         m.perStageIdleSec.push_back(s.idleSec);
@@ -429,214 +58,82 @@ ParallelRuntime::Impl::collect()
         m.stallDependency += s.deferrals;
         m.stallEmptyQueues += s.idleWakeups;
         m.gateWaitSeconds += s.gateWaitSec;
-        if (wall > 0.0) {
-            bubbleTotal +=
-                std::clamp(1.0 - s.busySec / wall, 0.0, 1.0);
-        }
+        if (wall > 0.0)
+            bubbleTotal += std::clamp(1.0 - s.busySec / wall, 0.0, 1.0);
         // Stage-ascending merge: deterministic observation order.
-        out.observations.stages.push_back(worker->observation());
+        out.observations.stages.push_back(worker.observation());
+
+        // Real per-worker context-cache accounting (the port of the
+        // simulator's ContextManager); AllResident systems have no
+        // cache and report N/A.
+        const ExecContextCache &cache = worker.cache();
+        hits += cache.memory().hitStats().hits();
+        misses += cache.memory().hitStats().misses();
+        m.prefetchedBytes += cache.stats().prefetchedBytes;
+        m.syncFetchedBytes += cache.stats().syncFetchedBytes;
+        m.cachePeakBytes =
+            std::max(m.cachePeakBytes, cache.memory().peakBytes());
+        m.cacheBudgetBytes = cache.budgetBytes();
+        merged.insert(merged.end(), worker.traceRecords().begin(),
+                      worker.traceRecords().end());
     }
-    m.bubbleRatio =
-        numStages > 0 ? bubbleTotal / numStages : 0.0;
-    m.gateCommits = gate->commits();
-
-    m.faultsInjected = injector.firedCount();
-    m.recoveries = recoveries;
-    m.subnetsReplayed = subnetsReplayed;
-    m.recoverySeconds = recoverySecondsTotal;
-    m.lostComputeSeconds = lostComputeSeconds;
-    m.retriesExhausted = retriesExhausted ? 1 : 0;
-
-    // Real per-worker context-cache accounting (the port of the
-    // simulator's ContextManager); AllResident systems have no cache
-    // and report N/A.
+    m.bubbleRatio = bubbleTotal / pool.numStages();
     if (model.memory != MemoryMode::AllResident) {
-        std::uint64_t hits = 0, misses = 0;
-        for (const auto &worker : workers) {
-            const ExecContextCache &cache = worker->cache();
-            hits += cache.memory().hitStats().hits();
-            misses += cache.memory().hitStats().misses();
-            m.prefetchedBytes += cache.stats().prefetchedBytes;
-            m.syncFetchedBytes += cache.stats().syncFetchedBytes;
-            m.cachePeakBytes = std::max(m.cachePeakBytes,
-                                        cache.memory().peakBytes());
-            m.cacheBudgetBytes = cache.budgetBytes();
-        }
         m.cacheHitRate =
             (hits + misses)
                 ? static_cast<double>(hits) / (hits + misses)
                 : 0.0;
     }
-
-    if (config.traceEnabled) {
-        std::vector<TraceRecord> merged;
-        for (const auto &worker : workers) {
-            merged.insert(merged.end(),
-                          worker->traceRecords().begin(),
-                          worker->traceRecords().end());
-        }
-        std::sort(merged.begin(), merged.end(),
-                  [](const TraceRecord &a, const TraceRecord &b) {
-                      return a.start != b.start ? a.start < b.start
-                                                : a.stage < b.stage;
-                  });
-        for (const TraceRecord &rec : merged)
-            out.trace->add(rec);
-    }
-    return out;
+    std::sort(merged.begin(), merged.end(),
+              [](const TraceRecord &a, const TraceRecord &b) {
+                  return a.start != b.start ? a.start < b.start
+                                            : a.stage < b.stage;
+              });
+    for (const TraceRecord &rec : merged)
+        out.trace->add(rec);
 }
 
-ParallelRuntime::ParallelRuntime(const SearchSpace &space,
-                                 const RuntimeConfig &config)
-    : _impl(std::make_unique<Impl>(space, config))
-{
-}
-
-ParallelRuntime::~ParallelRuntime() = default;
-
-double
-ParallelRuntime::scoreScale() const
-{
-    return _impl->session.scoreScale();
-}
-
-RunResult
-ParallelRuntime::run()
-{
-    Impl &im = *_impl;
-    TrainingSession &session = im.session;
-    std::string why;
-    if (!supported(im.config, &why)) {
-        RunResult out;
-        out.failed = true;
-        out.error = why;
-        return out;
-    }
-    if (!im.setup()) {
-        RunResult out;
-        out.oom = true;
-        out.plan = session.plan();
-        return out;
-    }
-
-    if (!im.config.resumePath.empty()) {
-        RunCheckpoint ckpt;
-        if (!ckpt.loadFile(im.config.resumePath) ||
-            !session.restore(ckpt)) {
-            RunResult out;
-            out.failed = true;
-            out.error = "cannot resume from checkpoint '" +
-                        im.config.resumePath + "'";
-            out.plan = session.plan();
-            return out;
-        }
-        session.setTimeOffsets(ckpt.simSeconds, ckpt.busySeconds);
-        session.setCheckpointsWritten(
-            static_cast<int>(ckpt.checkpointsWritten));
-        // ParameterStore::load drops the version-map entries of
-        // layers restored at version 0; re-materialize so the hot
-        // path stays structurally read-only for the workers.
-        session.store()->materializeAll();
-    }
-
-    im.startWorkers();
-
-    session.pump();
-    while (session.finished() < session.totalSubnets() ||
-           im.failStopPending) {
-        std::shared_ptr<const SubnetRun> run =
-            im.completions->pop();
-
-        if (!run) {
-            // Watchdog sentinel: a stage crashed (or, under the
-            // opt-in wall deadline, hung). Quiesce the surviving
-            // workers, then either give up (bounded retries) or
-            // roll back and respawn in place.
-            im.quiesce();
-            if (!im.policy.allowRetry()) {
-                im.retriesExhausted = true;
-                RunResult out;
-                out.failed = true;
-                out.retriesExhausted = true;
-                {
-                    std::lock_guard<RankedMutex> lock(im.execIncidentMu);
-                    out.error =
-                        "recovery retries exhausted after " +
-                        std::to_string(
-                            im.policy.consecutiveFailures() + 1) +
-                        " consecutive failures (stage " +
-                        std::to_string(im.incidentStage) + ": " +
-                        im.incidentReason + ")";
-                }
-                out.plan = session.plan();
-                return out;
-            }
-            if (!im.recover()) {
-                RunResult out;
-                out.failed = true;
-                out.error =
-                    "recovery from the last checkpoint failed";
-                out.plan = session.plan();
-                return out;
-            }
-            session.pump();
-            continue;
-        }
-
-        if (im.failStopPending) {
-            // The world is frozen after a fail-stop fault, exactly
-            // like the simulator's sim.stop(): stragglers that drain
-            // before the watchdog's sentinel are *dropped*, not
-            // recorded — the rollback replays them, and the logical
-            // clock (hence subnetsReplayed and the fault plan's
-            // remaining triggers) stays deterministic.
-            continue;
-        }
-        float loss = 0.0f;
-        if (im.config.numeric)
-            loss = session.exec().finishSubnet(run->subnet);
-        bool atBarrier = session.recordCompletion(
-            run->subnet.id(), loss,
-            session.secOffset() + im.elapsed());
-        im.checkFaults();
-        if (im.failStopPending)
-            continue;  // no checkpoint at a crash-coincident barrier
-        im.policy.noteProgress();
-        if (atBarrier) {
-            // The barrier is drained by construction: injection
-            // paused at nextCkptAt, so no subnet is in flight, and
-            // every worker write for a completed subnet is visible
-            // here (gate-commit release edges plus the completion
-            // queue's mutex hand-off). Threaded checkpoints carry
-            // wall-clock seconds and no live busy accounting.
-            RunCheckpoint ckpt = session.buildCheckpoint(
-                session.secOffset() + im.elapsed(),
-                session.busyOffset());
-            session.commitCheckpoint(ckpt);
-        }
-        session.pump();
-    }
-
-    // The watchdog goes first — a clean drain flips every heartbeat
-    // to Exited, which must not read as an incident.
-    im.watchdog.reset();
-    for (auto &worker : im.workers)
-        worker->requestStop();
-    for (auto &worker : im.workers)
-        worker->join();
-
-    NASPIPE_ASSERT(session.finished() == session.totalSubnets(),
-                   "run ended with ", session.finished(), " of ",
-                   session.totalSubnets(), " subnets finished");
-    return im.collect();
-}
+} // namespace
 
 RunResult
 runTrainingThreaded(const SearchSpace &space,
                     const RuntimeConfig &config)
 {
-    ParallelRuntime runtime(space, config);
-    return runtime.run();
+    RunResult out;
+    if (!ParallelRuntime::supported(config, &out.error)) {
+        out.failed = true;
+        return out;
+    }
+    // Same capacity discipline as the simulator: identical batch =>
+    // identical LR scaling and gradient-noise scale => the numeric
+    // trajectory the equivalence harness compares bitwise.
+    CapacityPlan plan = planCapacity(space, config);
+    if (!plan.fits) {
+        out.oom = true;
+        out.plan = plan;
+        return out;
+    }
+
+    const SystemModel &model = config.system;
+    serve::ServiceConfig sc;
+    sc.numStages = config.numStages;
+    sc.watchdogPollMs = config.watchdogPollMs;
+    sc.wallDeadline = config.wallWatchdog;
+    sc.deadlineSeconds = config.watchdogDeadlineSeconds;
+    sc.recordTrace = config.traceEnabled;
+    sc.stageContext.mode = model.memory;
+    sc.stageContext.predictor = model.predictor;
+    sc.stageContext.prefetchDepth = model.prefetchDepth;
+    sc.stageContext.budgetBytes = plan.cacheBudgetBytes(model.memory);
+
+    serve::SearchService service(sc);
+    int id = service.submit(space, config);
+    service.drain();
+    service.run();
+    out = service.takeResult(id);
+    if (!out.failed)
+        addPoolAccounting(*service.pool(), model, out);
+    return out;
 }
 
 } // namespace naspipe

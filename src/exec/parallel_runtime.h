@@ -1,62 +1,44 @@
 /**
  * @file
- * ParallelRuntime: the CSP schedule on real OS threads.
+ * The CSP schedule on real OS threads.
  *
  * A second runtime layer next to PipelineRuntime: instead of a
- * discrete-event simulation of D GPUs, it launches one StageWorker
- * thread per pipeline stage plus a coordinator (the calling thread),
- * and executes the numeric training run with genuine concurrency.
- * The CommitGate enforces the exact causal read/write order CSP
- * proves sequential-equivalent, so for any worker count — and any OS
- * thread interleaving — the trained weights are **bitwise identical**
- * to the simulator's (and hence to sequential training); the
- * equivalence harness in tests/integration/test_parallel_equivalence
+ * discrete-event simulation of D GPUs, one StageWorker thread per
+ * pipeline stage executes the numeric training run with genuine
+ * concurrency. The CommitGate enforces the exact causal read/write
+ * order CSP proves sequential-equivalent, so for any worker count —
+ * and any OS thread interleaving — the trained weights are **bitwise
+ * identical** to the simulator's (and hence to sequential training);
+ * the equivalence harness in tests/integration/test_parallel_equivalence
  * asserts this on the paper spaces.
  *
- * Shares RuntimeConfig and RunResult with the simulator so the two
- * executors are drop-in interchangeable (`naspipe_cli
+ * There is one threaded executor: runTrainingThreaded runs its
+ * configuration as the only job of a serve::SearchService, whose
+ * ServeJob owns the gate lifecycle, fault dispatch, drained-
+ * checkpoint rollback and replay, resume and the bounded retry
+ * policy. Shares RuntimeConfig and RunResult with the simulator so
+ * the two executors are drop-in interchangeable (`naspipe_cli
  * --executor=threads|sim`); both drive the shared TrainingSession
- * coordinator core (src/session), which owns sampling, score
- * delivery and the drained-checkpoint/resume cadence. The feature
- * matrix of what each executor supports (systems, faults,
- * checkpoint/resume, context cache, oracle hooks) lives in
- * README.md's "Choosing an executor" table; supported() is the
- * programmatic form of that matrix and names the feature in its
- * rejection reason.
+ * coordinator core (src/session). The feature matrix of what each
+ * executor supports lives in README.md's "Choosing an executor"
+ * table; supported() is the programmatic form of that matrix and
+ * names the feature in its rejection reason.
  */
 
 #ifndef NASPIPE_EXEC_PARALLEL_RUNTIME_H
 #define NASPIPE_EXEC_PARALLEL_RUNTIME_H
 
-#include <memory>
+#include <string>
 
 #include "runtime/pipeline_runtime.h"
 
 namespace naspipe {
 
-/**
- * Executes one training run on worker threads.
- */
+/** The threaded executor's support matrix. */
 class ParallelRuntime
 {
   public:
-    /**
-     * @param space the search space (must outlive the runtime)
-     * @param config run configuration (numStages == worker threads)
-     */
-    ParallelRuntime(const SearchSpace &space,
-                    const RuntimeConfig &config);
-
-    ~ParallelRuntime();
-
-    ParallelRuntime(const ParallelRuntime &) = delete;
-    ParallelRuntime &operator=(const ParallelRuntime &) = delete;
-
-    /** Execute the run to completion and collect the results. */
-    RunResult run();
-
-    /** Effective score scale (family default applied). */
-    double scoreScale() const;
+    ParallelRuntime() = delete;
 
     /**
      * Whether @p config can run on the threaded executor; fills
@@ -64,13 +46,16 @@ class ParallelRuntime
      */
     static bool supported(const RuntimeConfig &config,
                           std::string *why = nullptr);
-
-  private:
-    struct Impl;
-    std::unique_ptr<Impl> _impl;
 };
 
-/** Convenience wrapper: configure and run on threads in one call. */
+/**
+ * Execute one training run on worker threads (numStages of them):
+ * a one-job SearchService on a pool sized and configured from
+ * @p config. @p space must outlive the result's store. An
+ * unsupported config or a bad resume file gives `failed`, a plan
+ * that does not fit gives `oom`, and a pool watchdog incident fails
+ * the run with the watchdog's reason in `error`.
+ */
 RunResult runTrainingThreaded(const SearchSpace &space,
                               const RuntimeConfig &config);
 

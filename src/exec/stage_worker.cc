@@ -9,13 +9,9 @@
 namespace naspipe {
 
 StageWorker::StageWorker(int stage, int numStages,
-                         const SearchSpace &space, CommitGate &gate,
-                         NumericExecutor *exec,
-                         UpdateSemantics semantics,
                          std::size_t inboxCapacity, ContextConfig ctx)
-    : _stage(stage), _numStages(numStages), _space(space), _gate(gate),
-      _exec(exec), _semantics(semantics), _inbox(inboxCapacity),
-      _cache(space, ctx.mode, ctx.budgetBytes),
+    : _stage(stage), _numStages(numStages), _inbox(inboxCapacity),
+      _cache(ctx.mode, ctx.budgetBytes),
       _predictor(ctx.predictor, ctx.prefetchDepth)
 {
     NASPIPE_ASSERT(stage >= 0 && stage < numStages,
@@ -105,11 +101,19 @@ StageWorker::secondsSinceEpoch() const
 }
 
 void
+StageWorker::chargeBusy(const SubnetRun &run, double seconds)
+{
+    _stats.busySec += seconds;
+    run.job->busyNs.fetch_add(
+        static_cast<std::uint64_t>(seconds * 1e9));
+}
+
+void
 StageWorker::prefetchRun(const SubnetRun &run)
 {
     auto [lo, hi] = blockRange(run);
     if (lo <= hi)
-        _cache.prefetch(run.subnet, lo, hi);
+        _cache.prefetch(*run.job->space, run.subnet, lo, hi);
 }
 
 std::vector<SubnetId>
@@ -125,8 +129,8 @@ StageWorker::queuedForwardIds() const
 void
 StageWorker::prefetchPredicted(const std::vector<SubnetId> &picks)
 {
-    // Predictor paths are single-tenant only (a multi-tenant pool
-    // runs with the predictor off), so _fwd's ticket order is
+    // Predictor paths run only on a one-job pool (a multi-tenant
+    // pool runs with the predictor off), so _fwd's ticket order is
     // sequence-ID order here and the binary search stays valid.
     for (SubnetId id : picks) {
         auto at = std::lower_bound(
@@ -163,9 +167,9 @@ StageWorker::drainInbox()
         } else {
             // Keep forwards sorted by dispatch ticket so the
             // runnable scan walks Algorithm 2's lowest-first order.
-            // Single-tenant runs set ticket = sequence ID; a
-            // multi-tenant pool's tickets encode the serve
-            // scheduler's deterministic cross-job admission order.
+            // Tickets encode the serve scheduler's deterministic
+            // admission order, ascending with each job's sequence
+            // IDs.
             std::uint64_t ticket = pending.run->ticket;
             auto at = std::lower_bound(
                 _fwd.begin(), _fwd.end(), ticket,
@@ -185,9 +189,9 @@ StageWorker::resolveClaims(Pending &pending)
     const SubnetRun &run = *pending.run;
     auto [lo, hi] = blockRange(run);
     for (int b = lo; b <= hi; b++) {
-        if (!spaceOf(run).parameterized(b, run.subnet.choice(b)))
+        if (!run.job->space->parameterized(b, run.subnet.choice(b)))
             continue;
-        pending.claims.push_back(gateOf(run).resolve(
+        pending.claims.push_back(run.job->gate->resolve(
             run.subnet.layer(b).key(), run.subnet.id()));
     }
     pending.claimsResolved = true;
@@ -200,7 +204,7 @@ StageWorker::findRunnableForward(std::uint64_t *blockedOn)
         resolveClaims(_fwd[i]);
         bool ready = true;
         for (const CommitGate::Claim &claim : _fwd[i].claims) {
-            if (!gateOf(*_fwd[i].run).readable(claim)) {
+            if (!_fwd[i].run->job->gate->readable(claim)) {
                 ready = false;
                 // Attribute the stall to the chain holding the
                 // lowest-sequence candidate: per the liveness
@@ -233,15 +237,17 @@ StageWorker::execForward(Pending pending)
     prefetchPredicted(_predictor.beforeForward(run.subnet.id(),
                                                queuedForwardIds()));
     if (lo <= hi)
-        _cache.ensureResident(run.subnet, lo, hi);
-    NumericExecutor *exec = execOf(run);
+        _cache.ensureResident(*run.job->space, run.subnet, lo, hi);
+    NumericExecutor *exec = run.job->exec;
     double start = secondsSinceEpoch();
-    if (exec && lo <= hi)
-        exec->forwardStage(run.subnet, lo, hi, _semantics, _stage);
+    if (exec && lo <= hi) {
+        exec->forwardStage(run.subnet, lo, hi,
+                           UpdateSemantics::Immediate, _stage);
+    }
     if (exec && _stage == _numStages - 1)
         exec->computeLoss(run.subnet);
     double end = secondsSinceEpoch();
-    _stats.busySec += end - start;
+    chargeBusy(run, end - start);
     _stats.forwards++;
     _hb.beat();
     if (_recordTrace) {
@@ -274,19 +280,21 @@ StageWorker::execBackward(Pending pending)
     // contexts if the budget evicted them.
     prefetchPredicted(_predictor.beforeBackward(queuedForwardIds()));
     if (lo <= hi)
-        _cache.ensureResident(run.subnet, lo, hi);
-    NumericExecutor *exec = execOf(run);
+        _cache.ensureResident(*run.job->space, run.subnet, lo, hi);
+    NumericExecutor *exec = run.job->exec;
     double start = secondsSinceEpoch();
-    if (exec && lo <= hi)
-        exec->backwardStage(run.subnet, lo, hi, _semantics, _stage);
+    if (exec && lo <= hi) {
+        exec->backwardStage(run.subnet, lo, hi,
+                            UpdateSemantics::Immediate, _stage);
+    }
     // Commit strictly after the optimizer steps: the release edge in
     // CommitGate::commit is what publishes the new parameter bytes to
     // the next activator's forward read.
     resolveClaims(pending);
     for (const CommitGate::Claim &claim : pending.claims)
-        gateOf(run).commit(claim, _stage);
+        run.job->gate->commit(claim, _stage);
     double end = secondsSinceEpoch();
-    _stats.busySec += end - start;
+    chargeBusy(run, end - start);
     _stats.backwards++;
     _hb.beat();
     if (!pending.claims.empty()) {
@@ -304,7 +312,7 @@ StageWorker::execBackward(Pending pending)
     // evict it so the resident set stays at the ~3 moving contexts
     // the budget plans for.
     if (lo <= hi)
-        _cache.evictSubnet(run.subnet, lo, hi);
+        _cache.evictSubnet(*run.job->space, run.subnet, lo, hi);
 
     if (_stage > 0) {
         _prev->submit(
@@ -344,15 +352,9 @@ StageWorker::runLoop()
             stopping = _stop;
             aborting = _abort;
         }
-        // Fault latches first: a crashed worker abandons everything
-        // (its inbox closes so no peer blocks pushing to it); an
-        // aborted worker exits the same way but counts as a clean
+        // An aborted worker abandons everything (its inbox closes so
+        // no peer blocks pushing to it) and counts as a clean
         // supervised shutdown.
-        if (_crashLatch.exchange(false)) {
-            _inbox.close();
-            _hb.setState(fault::WorkerState::Crashed);
-            return;
-        }
         if (aborting) {
             _inbox.close();
             _hb.setState(fault::WorkerState::Exited);

@@ -19,8 +19,10 @@
  *
  * Workers never touch the sampler, the partitioner or each other's
  * state: a task carries an immutable, shared SubnetRun (subnet +
- * partition), and all cross-thread parameter visibility goes through
- * the CommitGate's acquire/release commits.
+ * partition + job binding), and all cross-thread parameter
+ * visibility goes through the CommitGate's acquire/release commits.
+ * Workers are built only by serve::SharedStagePool, which runs every
+ * threaded training run — a solo run is a one-job pool.
  */
 
 #ifndef NASPIPE_EXEC_STAGE_WORKER_H
@@ -51,35 +53,35 @@
 namespace naspipe {
 
 /**
- * Per-job execution context for multi-tenant pools (src/serve).
+ * Per-job execution context (src/serve).
  *
- * A shared-pool StageWorker serves tasks from many independent
+ * A pool StageWorker serves tasks from one or many independent
  * search jobs; each job owns its own commit gate (causal chains),
  * numeric executor and parameter store. A task resolves those
- * through the binding its SubnetRun carries — a null binding means
- * the single-tenant path, which uses the worker-construction
- * defaults and behaves exactly as before. The binding is immutable
- * while any of its tasks is in flight and must outlive them.
+ * through the binding its SubnetRun carries. The space, gate and
+ * executor pointers are immutable while any of the job's tasks is in
+ * flight, and the binding must outlive them.
  */
 struct JobBinding {
     int jobId = 0;
     const SearchSpace *space = nullptr;
     CommitGate *gate = nullptr;
-    NumericExecutor *exec = nullptr;
+    NumericExecutor *exec = nullptr;  ///< nullptr: schedule-only run
+    std::atomic<std::uint64_t> busyNs{0};  ///< workers' time on its tasks
 };
 
 /** Immutable per-subnet execution record shared by every stage. */
 struct SubnetRun {
     Subnet subnet;
     SubnetPartition partition;
-    /** Owning job in a multi-tenant pool; null = single-tenant. */
-    const JobBinding *job = nullptr;
+    /** Owning job; every dispatched run carries one. */
+    JobBinding *job = nullptr;
     /**
      * Global dispatch ticket: the cross-job priority the forward
      * queues sort by. The serve scheduler assigns tickets in its
-     * deterministic admission order; single-tenant runtimes set
-     * ticket = sequence ID, so ticket order is exactly Algorithm 2's
-     * lowest-ID-first order and nothing changes for them.
+     * deterministic admission order; within one job they ascend with
+     * the sequence ID, so a one-job pool's ticket order is exactly
+     * Algorithm 2's lowest-ID-first order.
      */
     std::uint64_t ticket = 0;
 };
@@ -121,16 +123,10 @@ class StageWorker
     /**
      * @param stage this worker's stage index
      * @param numStages pipeline depth D
-     * @param space the search space
-     * @param gate the shared commit gate
-     * @param exec numeric executor, or nullptr for schedule-only runs
-     * @param semantics parameter-update semantics (Immediate for CSP)
      * @param inboxCapacity bounded-inbox capacity (>= in-flight limit)
      * @param ctx context cache/predictor configuration
      */
-    StageWorker(int stage, int numStages, const SearchSpace &space,
-                CommitGate &gate, NumericExecutor *exec,
-                UpdateSemantics semantics, std::size_t inboxCapacity,
+    StageWorker(int stage, int numStages, std::size_t inboxCapacity,
                 ContextConfig ctx = ContextConfig());
 
     StageWorker(const StageWorker &) = delete;
@@ -156,20 +152,18 @@ class StageWorker
     /**
      * Ask the loop to exit *immediately*, abandoning queued work, and
      * close the inbox so no producer can block on it. Used when the
-     * supervisor quiesces the pipeline after a fail-stop incident —
-     * the abandoned tasks are rebuilt from the checkpoint replay.
+     * service fails on a watchdog incident.
      */
     void requestAbort();
 
     /** Join the worker thread. */
     void join();
 
-    /** @name Fault injection (supervision layer)
+    /** @name Transient fault injection
      * Latches armed by the coordinator at task boundaries; the worker
-     * thread consumes them at the top of its scheduling loop (crash,
-     * stall) or per executed task (degrade). @{ */
-    /** Fail-stop: the loop abandons its inbox and exits. */
-    void injectCrash() { _crashLatch = true; notify(); }
+     * thread consumes them at the top of its scheduling loop (stall)
+     * or per executed task (degrade). Fail-stop faults never reach a
+     * worker: they are job-logical. @{ */
     /** Sleep through @p ticks bounded waits before the next task. */
     void injectStall(int ticks) { _stallTicks = ticks; notify(); }
     /** Slow down the next @p tasks executed tasks. */
@@ -186,9 +180,6 @@ class StageWorker
 
     /** Post-join context-cache accounting. */
     const ExecContextCache &cache() const { return _cache; }
-
-    /** Post-join prediction accounting. */
-    const ExecPredictor &predictor() const { return _predictor; }
 
     /** Post-join trace records (empty unless recordTrace). */
     const std::vector<TraceRecord> &traceRecords() const
@@ -210,21 +201,6 @@ class StageWorker
 
     void runLoop();
     void drainInbox();
-    /** @name Multi-tenant resolution (job binding, else defaults)
-     * @{ */
-    const SearchSpace &spaceOf(const SubnetRun &run) const
-    {
-        return run.job ? *run.job->space : _space;
-    }
-    CommitGate &gateOf(const SubnetRun &run) const
-    {
-        return run.job ? *run.job->gate : _gate;
-    }
-    NumericExecutor *execOf(const SubnetRun &run) const
-    {
-        return run.job ? run.job->exec : _exec;
-    }
-    /** @} */
     /** Consume a stall latch: sleep through @p ticks bounded waits. */
     void stallFor(int ticks);
     /** Index into _fwd of the lowest-ID readable forward, or -1; on
@@ -236,6 +212,8 @@ class StageWorker
     void execBackward(Pending pending);
     std::pair<int, int> blockRange(const SubnetRun &run) const;
     double secondsSinceEpoch() const;
+    /** Charge executed work to this stage and to the task's job. */
+    void chargeBusy(const SubnetRun &run, double seconds);
     /** Prefetch @p run's stage context (predictor paths). */
     void prefetchRun(const SubnetRun &run);
     /** The sorted forward queue as sequence IDs (predictor input). */
@@ -245,10 +223,6 @@ class StageWorker
 
     const int _stage;
     const int _numStages;
-    const SearchSpace &_space;
-    CommitGate &_gate;
-    NumericExecutor *_exec;
-    const UpdateSemantics _semantics;
 
     BoundedTaskQueue<ExecTask> _inbox;
     StageWorker *_next = nullptr;
@@ -264,7 +238,6 @@ class StageWorker
     bool _abort = false;
 
     // Fault latches (coordinator writes, worker thread consumes).
-    std::atomic<bool> _crashLatch{false};
     std::atomic<int> _stallTicks{0};
     std::atomic<int> _degradeTasks{0};
     fault::WorkerHeartbeat _hb;

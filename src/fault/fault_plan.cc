@@ -33,6 +33,29 @@ faultIsFailStop(FaultKind kind)
     return kind == FaultKind::GpuCrash || kind == FaultKind::LinkDrop;
 }
 
+FaultEffect
+resolveFault(const FaultSpec &fault, int numStages)
+{
+    using Kind = FaultEffect::Kind;
+    int stage = std::clamp(fault.stage, 0, numStages - 1);
+    if (fault.kind == FaultKind::GpuCrash)
+        return {Kind::FailStop, stage};
+    if (fault.kind == FaultKind::StageStall)
+        return {Kind::Stall, stage};
+    if (numStages < 2)
+        return {Kind::None, stage};  // a one-stage pipeline has no links
+    return {fault.kind == FaultKind::LinkDrop ? Kind::FailStop
+                                              : Kind::Degrade,
+            std::min(stage, numStages - 2)};
+}
+
+TraceRecord
+faultRecord(const FaultSpec &fault, int numStages, Tick at)
+{
+    return TraceRecord{at, at, std::clamp(fault.stage, 0, numStages - 1),
+                       TraceKind::Fault, -1, fault.describe()};
+}
+
 std::string
 FaultSpec::describe() const
 {

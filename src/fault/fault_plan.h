@@ -12,14 +12,14 @@
  * when (after the k-th subnet completion, a logical clock that is
  * identical across clusters AND across executors), and for how long.
  *
- * Both backends consult the same plan at every completion: the
+ * Both backends consult the same plan at every completion and map
+ * each fired fault through one dispatch rule (resolveFault): the
  * simulator transitions its hardware models into the corresponding
- * fault states, the threaded executor latches the fault into the
- * victim StageWorker (a crashed worker abandons its inbox and exits;
- * a stalled worker sleeps through N logical ticks). Fail-stop faults
- * trigger the shared checkpoint/recovery path on either backend, so
- * one seeded plan reproduces the same rollback/replay sequence
- * everywhere.
+ * fault states, the threaded executor latches transient faults into
+ * the victim StageWorker (a stalled worker sleeps through N bounded
+ * waits). Fail-stop faults are job-logical on both: the run freezes
+ * and takes the shared checkpoint/recovery path, so one seeded plan
+ * reproduces the same rollback/replay sequence everywhere.
  */
 
 #ifndef NASPIPE_FAULT_FAULT_PLAN_H
@@ -28,6 +28,8 @@
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "sim/trace.h"
 
 namespace naspipe {
 
@@ -71,6 +73,31 @@ struct FaultSpec {
  */
 bool parseFaultSpec(const std::string &text, FaultSpec &out,
                     std::string *error = nullptr);
+
+/**
+ * What a fired fault does to a D-stage pipeline — the one dispatch
+ * rule every executor applies. Node faults hit the clamped stage;
+ * link faults hit the boundary after stage min(stage, D - 2), and a
+ * one-stage pipeline has no links, so a drop or degrade there does
+ * nothing.
+ */
+struct FaultEffect {
+    enum class Kind {
+        None,      ///< no target on this pipeline (link fault, D = 1)
+        FailStop,  ///< freeze, roll back to the last drained checkpoint
+        Stall,     ///< the stage executes nothing for a while
+        Degrade,   ///< the link's traffic slows down for a while
+    };
+    Kind kind = Kind::None;
+    /** Victim stage; for link faults the upstream end of the link. */
+    int stage = 0;
+};
+
+/** Map @p fault onto a @p numStages-deep pipeline. */
+FaultEffect resolveFault(const FaultSpec &fault, int numStages);
+
+/** The Fault trace record of @p fault firing at @p at. */
+TraceRecord faultRecord(const FaultSpec &fault, int numStages, Tick at);
 
 /**
  * Tracks which faults of a plan have fired. Each spec fires exactly

@@ -6,18 +6,17 @@
  * heartbeats and reports the first incident it sees to a callback:
  *
  *  - **Crash detection** (always on): a heartbeat whose state is
- *    Crashed names its worker as the victim. This is state-based and
- *    deterministic — the worker latched the fault at a task boundary
- *    of the logical schedule; the watchdog merely relays it.
+ *    Crashed names its worker as the victim. This is state-based;
+ *    injected fail-stop faults are job-logical and never stop a
+ *    worker, so a crashed worker is a defect.
  *  - **Hang detection** (opt-in, Config::wallDeadline): when the sum
  *    of all logical-progress counters stops advancing for longer
  *    than the wall deadline, the run is declared hung. Wall deadlines
  *    are inherently timing-dependent, so they are armed only when
  *    the caller explicitly opted into wall-clock observability.
  *
- * The callback fires at most once per Watchdog lifetime; the runtime
- * recreates the watchdog with the respawned workers after each
- * recovery phase, which doubles as the re-arm.
+ * The callback fires at most once per Watchdog lifetime: an incident
+ * fails the service that owns the workers, so nothing re-arms it.
  */
 
 #ifndef NASPIPE_FAULT_WATCHDOG_H

@@ -4,10 +4,9 @@
 
 namespace naspipe {
 
-ExecContextCache::ExecContextCache(const SearchSpace &space,
-                                   MemoryMode mode,
+ExecContextCache::ExecContextCache(MemoryMode mode,
                                    std::uint64_t budgetBytes)
-    : _space(space), _mode(mode), _budgetBytes(budgetBytes)
+    : _mode(mode), _budgetBytes(budgetBytes)
 {
 }
 
@@ -47,7 +46,8 @@ ExecContextCache::evictLayer(const LayerId &layer)
 }
 
 void
-ExecContextCache::prefetch(const Subnet &subnet, int lo, int hi)
+ExecContextCache::prefetch(const SearchSpace &space,
+                           const Subnet &subnet, int lo, int hi)
 {
     if (_mode != MemoryMode::PredictivePrefetch)
         return;
@@ -55,7 +55,7 @@ ExecContextCache::prefetch(const Subnet &subnet, int lo, int hi)
     _stats.prefetchRequests++;
     for (int b = lo; b <= hi; b++) {
         std::uint64_t bytes =
-            _space.spec(b, subnet.choice(b)).paramBytes;
+            space.spec(b, subnet.choice(b)).paramBytes;
         if (bytes == 0)
             continue;  // skip candidates have no context
         LayerId layer = subnet.layer(b);
@@ -67,7 +67,8 @@ ExecContextCache::prefetch(const Subnet &subnet, int lo, int hi)
 }
 
 void
-ExecContextCache::ensureResident(const Subnet &subnet, int lo, int hi)
+ExecContextCache::ensureResident(const SearchSpace &space,
+                                 const Subnet &subnet, int lo, int hi)
 {
     if (_mode == MemoryMode::AllResident)
         return;
@@ -100,7 +101,7 @@ ExecContextCache::ensureResident(const Subnet &subnet, int lo, int hi)
     Tick now = _clock;
     for (int b = lo; b <= hi; b++) {
         std::uint64_t bytes =
-            _space.spec(b, subnet.choice(b)).paramBytes;
+            space.spec(b, subnet.choice(b)).paramBytes;
         if (bytes == 0)
             continue;  // skip candidates have no context
         LayerId layer = subnet.layer(b);
@@ -127,12 +128,13 @@ ExecContextCache::ensureResident(const Subnet &subnet, int lo, int hi)
 }
 
 void
-ExecContextCache::evictSubnet(const Subnet &subnet, int lo, int hi)
+ExecContextCache::evictSubnet(const SearchSpace &space,
+                              const Subnet &subnet, int lo, int hi)
 {
     if (_mode != MemoryMode::PredictivePrefetch)
         return;
     for (int b = lo; b <= hi; b++) {
-        if (_space.spec(b, subnet.choice(b)).paramBytes > 0)
+        if (space.spec(b, subnet.choice(b)).paramBytes > 0)
             evictLayer(subnet.layer(b));
     }
 }

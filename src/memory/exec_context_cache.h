@@ -20,7 +20,9 @@
  * shared ParameterStore, and nothing here gates execution or
  * synchronizes threads — so residency decisions cannot perturb the
  * bitwise-reproducible training trajectory. Each StageWorker owns one
- * instance and is its only caller; stats are read after join().
+ * instance and is its only caller; stats are read after join(). The
+ * space is passed per call because a pool worker serves the tasks of
+ * whichever job they belong to.
  */
 
 #ifndef NASPIPE_MEMORY_EXEC_CONTEXT_CACHE_H
@@ -44,12 +46,10 @@ class ExecContextCache
 {
   public:
     /**
-     * @param space the search space
      * @param mode memory management strategy (AllResident = no-op)
      * @param budgetBytes parameter-cache budget; 0 means unlimited
      */
-    ExecContextCache(const SearchSpace &space, MemoryMode mode,
-                     std::uint64_t budgetBytes);
+    ExecContextCache(MemoryMode mode, std::uint64_t budgetBytes);
 
     MemoryMode mode() const { return _mode; }
     std::uint64_t budgetBytes() const { return _budgetBytes; }
@@ -58,26 +58,26 @@ class ExecContextCache
      * Predictor-driven asynchronous fetch of @p subnet's context for
      * blocks [lo, hi]. No-op outside PredictivePrefetch mode.
      */
-    void prefetch(const Subnet &subnet, int lo, int hi);
+    void prefetch(const SearchSpace &space, const Subnet &subnet,
+                  int lo, int hi);
 
     /**
      * Make @p subnet's blocks [lo, hi] resident for execution,
      * classifying each layer as hit (prefetched in time) or miss
      * (synchronous fetch).
      */
-    void ensureResident(const Subnet &subnet, int lo, int hi);
+    void ensureResident(const SearchSpace &space,
+                        const Subnet &subnet, int lo, int hi);
 
     /**
      * Evict @p subnet's stage context after its backward pass
      * (PredictivePrefetch).
      */
-    void evictSubnet(const Subnet &subnet, int lo, int hi);
+    void evictSubnet(const SearchSpace &space, const Subnet &subnet,
+                     int lo, int hi);
 
     /** Resident-set accounting. */
     const GpuMemoryManager &memory() const { return _memory; }
-
-    /** Cache-hit rate over all ensureResident classifications. */
-    double hitRate() const { return _memory.hitStats().rate(); }
 
     const ContextStats &stats() const { return _stats; }
 
@@ -86,7 +86,6 @@ class ExecContextCache
     void evictLayer(const LayerId &layer);
     void enforceBudget(std::uint64_t incomingBytes);
 
-    const SearchSpace &_space;
     MemoryMode _mode;
     std::uint64_t _budgetBytes;
     /// Logical access counter standing in for the simulator clock.

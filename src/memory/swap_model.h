@@ -93,6 +93,22 @@ struct CapacityPlan {
     std::uint64_t activationBytesPerGpu = 0;
     std::uint64_t cpuMemBytesTotal = 0;  ///< pinned CPU storage
     std::uint64_t reportedParamBytes = 0;  ///< Table 2 "Para." column
+
+    /**
+     * The §4.2 per-stage parameter-cache cap under @p mode (0, i.e.
+     * unlimited, for AllResident). The planned footprint covers the
+     * ~3 moving contexts of §3.3 (previous/current/next); contexts
+     * awaiting their backward pass also linger, so the enforced cap
+     * is 3x the plan — under pressure the LRU awaiting-backward
+     * contexts are evicted and re-fetched by the predictor's
+     * released-backward path. Both executors enforce this cap.
+     */
+    std::uint64_t cacheBudgetBytes(MemoryMode mode) const
+    {
+        return mode == MemoryMode::AllResident
+                   ? 0
+                   : 3 * residentParamBytesPerGpu;
+    }
 };
 
 /**

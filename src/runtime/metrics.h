@@ -68,9 +68,9 @@ struct RunMetrics {
     std::uint64_t checkpointBytes = 0;  ///< size of the last one
     double checkpointSeconds = 0.0;     ///< total time spent writing
 
-    // Threaded executor (ParallelRuntime). wallSeconds is real
-    // wall-clock time; for threaded runs simSeconds is set to it so
-    // throughput consumers work unchanged. The per-stage vectors are
+    // Threaded executor (runTrainingThreaded). wallSeconds is real
+    // wall-clock time after the run's set-up; for threaded runs
+    // simSeconds is set to it so throughput consumers work unchanged. The per-stage vectors are
     // indexed by stage and the gate numbers come from the CommitGate.
     double wallSeconds = 0.0;
     int execWorkers = 0;               ///< 0 = simulated run

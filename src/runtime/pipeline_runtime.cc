@@ -157,19 +157,10 @@ PipelineRuntime::Impl::setup()
         hooks.upstreamWritesDone = [this, k](SubnetId id) {
             return upstreamWritesDone(k, id);
         };
-        // The §4.2 memory-limit check. The planned footprint covers
-        // the ~3 moving contexts of §3.3 (previous/current/next);
-        // contexts awaiting their backward pass also linger, so the
-        // enforced cap is 3x the plan — under pressure the LRU
-        // awaiting-backward contexts are evicted and re-fetched by
-        // the predictor's released-backward path.
-        std::uint64_t cacheBudget =
-            model.memory == MemoryMode::AllResident
-                ? 0
-                : 3 * session.plan().residentParamBytesPerGpu;
         stages.push_back(std::make_unique<Stage>(
             sim, space, cluster->gpu(k), k, numStages, model.memory,
-            std::move(hooks), cacheBudget));
+            std::move(hooks),
+            session.plan().cacheBudgetBytes(model.memory)));
     }
     return true;
 }
@@ -643,24 +634,21 @@ void
 PipelineRuntime::Impl::checkFaults(Tick end)
 {
     for (const FaultSpec &f : injector.due(session.finished())) {
-        int stage = std::clamp(f.stage, 0, numStages - 1);
-        session.trace()->add(TraceRecord{
-            end, end, stage, TraceKind::Fault, -1, f.describe()});
+        session.trace()->add(faultRecord(f, numStages, end));
         inform("fault injected: ", f.describe());
-        switch (f.kind) {
-          case FaultKind::GpuCrash:
-            cluster->failStage(stage);
+        FaultEffect effect = resolveFault(f, numStages);
+        int stage = effect.stage;
+        switch (effect.kind) {
+          case FaultEffect::Kind::None:
+            break;
+          case FaultEffect::Kind::FailStop:
+            if (f.kind == FaultKind::LinkDrop)
+                cluster->dropBoundary(stage);
+            else
+                cluster->failStage(stage);
             crashed = true;
             break;
-          case FaultKind::LinkDrop: {
-            if (numStages < 2)
-                break;  // a one-stage pipeline has no links
-            int b = std::min(stage, numStages - 2);
-            cluster->dropBoundary(b);
-            crashed = true;
-            break;
-          }
-          case FaultKind::StageStall: {
+          case FaultEffect::Kind::Stall: {
             // Occupy the stage's compute engine for the stall window;
             // the scheduled dispatch un-wedges a stage that went idle
             // behind the stall once it lifts.
@@ -671,15 +659,12 @@ PipelineRuntime::Impl::checkFaults(Tick end)
                            [this, stage] { tryDispatch(stage); });
             break;
           }
-          case FaultKind::LinkDegrade: {
-            if (numStages < 2)
-                break;
-            int b = std::min(stage, numStages - 2);
-            cluster->degradeBoundary(b, f.factor);
-            sim.scheduleAt(end + ticksFromMs(f.durationMs),
-                           [this, b] { cluster->restoreBoundary(b); });
+          case FaultEffect::Kind::Degrade:
+            cluster->degradeBoundary(stage, f.factor);
+            sim.scheduleAt(end + ticksFromMs(f.durationMs), [this, stage] {
+                cluster->restoreBoundary(stage);
+            });
             break;
-          }
         }
     }
     if (crashed)

@@ -136,7 +136,7 @@ struct RuntimeConfig {
     int watchdogPollMs = 2;
     /**
      * Called by the threaded executor at the start of each recovery
-     * epoch with the 1-based recovery count, before workers respawn.
+     * epoch with the 1-based recovery count, before the replay.
      * Recovery recreates the commit gate, so per-layer chains restart
      * at rank 0; a live CspOracle attached via commitObserver must
      * reset its chain cursors here (CspOracle::resetLiveChains).

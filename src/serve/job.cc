@@ -161,10 +161,8 @@ parseJobSpec(const std::string &text, JobSpec &out,
     return true;
 }
 
-namespace {
-
 RuntimeConfig
-buildConfig(const JobSpec &spec, int numStages)
+jobRuntimeConfig(const JobSpec &spec, int numStages)
 {
     RuntimeConfig config;
     config.system = naspipeSystem();
@@ -177,21 +175,25 @@ buildConfig(const JobSpec &spec, int numStages)
     config.faults = spec.faults;
     config.recoveryMaxRetries = spec.recoveryRetries;
     config.precision = spec.precision;
+    // A missing file is a fresh start; an unreadable or mismatched
+    // one fails the job at start() rather than silently retraining
+    // from subnet 0.
+    if (!spec.ckptPath.empty() && std::ifstream(spec.ckptPath).good())
+        config.resumePath = spec.ckptPath;
     return config;
 }
 
-} // namespace
-
-ServeJob::ServeJob(int id, JobSpec spec, int numStages)
-    : _id(id), _spec(std::move(spec)),
-      _space(makeSpaceByName(_spec.space)),
-      _config(buildConfig(_spec, numStages)),
-      _session(_space, _config), _injector(_spec.faults),
+ServeJob::ServeJob(int id, JobSpec spec, const SearchSpace &space,
+                   RuntimeConfig config)
+    : _id(id), _spec(std::move(spec)), _space(space),
+      _config(std::move(config)), _session(_space, _config),
+      _injector(_config.faults),
       _policy(fault::RecoveryPolicy::Config{
-          _spec.recoveryRetries, _config.recoveryBackoffSeconds,
+          _config.recoveryMaxRetries, _config.recoveryBackoffSeconds,
           60.0})
 {
-    NASPIPE_ASSERT(numStages >= 1, "job needs >= 1 pool stage");
+    NASPIPE_ASSERT(_config.numStages >= 1,
+                   "job needs >= 1 pool stage");
     _session.attach(this);
 }
 
@@ -232,52 +234,55 @@ ServeJob::admit(SubnetId id)
 void
 ServeJob::restoreCompleted(SubnetId id)
 {
-    // Same contract as the solo threaded executor: restored subnets
-    // are deliberately NOT registered in the gate, so the new phase's
-    // chains start fresh at rank 0.
+    // Restored subnets are deliberately NOT registered in the gate,
+    // so the live run's causal chains start fresh at rank 0 and the
+    // CspOracle's commit-monotonicity check stays valid.
     (void)id;
 }
 
 bool
-ServeJob::start(PoolHooks hooks, double nowSeconds)
+ServeJob::start(PoolHooks hooks)
 {
     NASPIPE_ASSERT(_state == JobState::Queued,
                    "start() on a non-queued job (", _id, ")");
-    NASPIPE_ASSERT(hooks.dispatch, "job needs a pool dispatch hook");
+    NASPIPE_ASSERT(hooks.dispatch && hooks.clock,
+                   "job needs pool dispatch and clock hooks");
     _hooks = std::move(hooks);
     if (!_session.initRun()) {
         fail("capacity planner rejected the job (space " +
-             _spec.space + " does not fit " +
+             _space.name() + " does not fit " +
              std::to_string(_config.numStages) + " stages)");
         return false;
     }
-    // Resume-from-file: a ckpt-path that already holds a checkpoint
-    // (a previous submission of this job was interrupted after a
-    // drained barrier) restarts the trajectory from that barrier. A
-    // missing file is a fresh start; an unreadable or mismatched one
-    // fails the job rather than silently retraining from subnet 0.
-    if (!_spec.ckptPath.empty() &&
-        std::ifstream(_spec.ckptPath).good()) {
+    // Resume: restart the trajectory from the checkpoint's drained
+    // barrier; the resumed run lands on the uninterrupted run's bits.
+    if (!_config.resumePath.empty()) {
         RunCheckpoint ckpt;
-        if (!ckpt.loadFile(_spec.ckptPath) ||
+        if (!ckpt.loadFile(_config.resumePath) ||
             !_session.restore(ckpt)) {
-            fail("cannot resume from checkpoint '" + _spec.ckptPath +
-                 "'");
+            fail("cannot resume from checkpoint '" +
+                 _config.resumePath + "'");
             return false;
         }
         _session.setTimeOffsets(ckpt.simSeconds, ckpt.busySeconds);
         _session.setCheckpointsWritten(
             static_cast<int>(ckpt.checkpointsWritten));
-        inform("job ", _id, ": resumed from '", _spec.ckptPath,
+        inform("job ", _id, ": resumed from '", _config.resumePath,
                "' at ", ckpt.completed, " completed subnets");
     }
-    // Pre-materialize so the shared workers' hot path stays
-    // structurally read-only on this job's private store.
+    // Pre-materialize: after this, worker threads only ever look up
+    // existing entries, so the store's maps need no structural
+    // locking on the hot path.
     _session.store()->materializeAll();
     rebuildGate();
-    _startedAt = nowSeconds;
-    _phaseStart = nowSeconds;
+    _startedAt = _hooks.clock();
+    _phaseStart = _startedAt;
     setState(JobState::Admitted);
+    if (_session.finished() == _session.totalSubnets()) {
+        // Resumed at the final barrier: nothing is left to train.
+        setState(JobState::Running);
+        finish();
+    }
     return true;
 }
 
@@ -305,8 +310,7 @@ ServeJob::admissible()
 }
 
 void
-ServeJob::applyCompletion(
-    const std::shared_ptr<const SubnetRun> &run, double nowSeconds)
+ServeJob::applyCompletion(const std::shared_ptr<const SubnetRun> &run)
 {
     NASPIPE_ASSERT(_state == JobState::Running ||
                        _state == JobState::Draining,
@@ -315,32 +319,48 @@ ServeJob::applyCompletion(
     float loss = 0.0f;
     if (_config.numeric)
         loss = _session.exec().finishSubnet(run->subnet);
-    double at =
-        _session.secOffset() + (nowSeconds - _phaseStart);
-    bool atBarrier =
-        _session.recordCompletion(run->subnet.id(), loss, at);
-
-    // The job's fault plan runs on the job's own logical clock (its
-    // completion count) — neighbors never advance it.
-    for (const FaultSpec &f : _injector.due(_session.finished())) {
-        inform("job ", _id, ": fault injected: ", f.describe());
-        if (faultIsFailStop(f.kind))
-            beginFailStop("injected fault: " + f.describe());
-    }
+    bool atBarrier = _session.recordCompletion(
+        run->subnet.id(), loss,
+        _session.secOffset() + (_hooks.clock() - _phaseStart));
+    fireFaults();
     if (_failStopPending)
         return;  // no checkpoint at a crash-coincident barrier
 
     _policy.noteProgress();
     if (atBarrier) {
+        // Drained by construction: injection paused at nextCkptAt.
+        // Threaded checkpoints carry wall-clock seconds and no live
+        // busy accounting.
         RunCheckpoint ckpt = _session.buildCheckpoint(
-            _session.secOffset() + (nowSeconds - _phaseStart),
+            _session.secOffset() + (_hooks.clock() - _phaseStart),
             _session.busyOffset());
         _session.commitCheckpoint(ckpt);
     }
     if (_session.finished() == _session.totalSubnets())
-        finish(nowSeconds);
+        finish();
     else
         refreshDrainState();
+}
+
+void
+ServeJob::fireFaults()
+{
+    // The job's fault plan runs on the job's own logical clock (its
+    // completion count) — neighbors never advance it.
+    for (const FaultSpec &f : _injector.due(_session.finished())) {
+        inform("job ", _id, ": fault injected: ", f.describe());
+        _faultRecords.push_back(faultRecord(
+            f, _config.numStages,
+            ticksFromSec(_hooks.clock() - _startedAt)));
+        FaultEffect effect = resolveFault(f, _config.numStages);
+        if (effect.kind != FaultEffect::Kind::FailStop) {
+            if (_hooks.perturb)
+                _hooks.perturb(f, effect);  // transient, or a no-op
+        } else if (!_failStopPending) {
+            beginFailStop("injected fault: " + f.describe(),
+                          effect.stage);
+        }
+    }
 }
 
 bool
@@ -357,7 +377,7 @@ ServeJob::noteStragglerDropped()
 }
 
 bool
-ServeJob::recover(double nowSeconds)
+ServeJob::recover()
 {
     NASPIPE_ASSERT(_state == JobState::Recovering &&
                        _pendingDrain == 0,
@@ -374,8 +394,8 @@ ServeJob::recover(double nowSeconds)
         return false;
     }
 
-    double wallAtCrash =
-        _session.secOffset() + (nowSeconds - _phaseStart);
+    double now = _hooks.clock();
+    double wallAtCrash = _session.secOffset() + (now - _phaseStart);
     RunCheckpoint ckpt;
     bool haveCkpt = false;
     if (!_session.lastCheckpoint().empty()) {
@@ -387,6 +407,11 @@ ServeJob::recover(double nowSeconds)
     _recoveries++;
     _subnetsReplayed +=
         _session.finished() - static_cast<int>(ckpt.completed);
+    // Everything the workers ran for the crashed phase is lost: the
+    // rollback discards it and the replay runs it again.
+    _lostComputeSeconds += phaseBusySeconds();
+    // Modeled, not slept: detection + restart plus the policy's
+    // exponential backoff are charged into the run's time offsets.
     double backoff = _policy.nextBackoffSeconds();
     _recoverySecondsTotal += _config.recoverySeconds + backoff;
     inform("job ", _id, " recovering (", _failStopReason,
@@ -407,14 +432,24 @@ ServeJob::recover(double nowSeconds)
         fail("recovery from the last checkpoint failed");
         return false;
     }
+    // restore() drops version-map entries of layers restored at
+    // version 0; re-materialize so the hot path stays structurally
+    // read-only for the workers.
     _session.store()->materializeAll();
     // Fresh job gate: this job's causal chains restart at rank 0.
     // The shared workers and every other tenant's gate are untouched.
     rebuildGate();
-    if (_hooks.recovered)
-        _hooks.recovered(_recoveries);
+    _faultRecords.push_back(TraceRecord{
+        ticksFromSec(now - _startedAt), ticksFromSec(now - _startedAt),
+        _failStopStage, TraceKind::Recovery, -1,
+        "rollback to " + std::to_string(ckpt.completed) +
+            ", attempt " +
+            std::to_string(_policy.consecutiveFailures())});
+    if (_config.recoveryObserver)
+        _config.recoveryObserver(_recoveries);
     _failStopPending = false;
-    _phaseStart = nowSeconds;
+    _phaseStart = now;
+    _phaseBusyNs = _binding.busyNs.load();
     setState(JobState::Running);
     return true;
 }
@@ -432,7 +467,7 @@ ServeJob::requestCancel()
         _cancelRequested = true;
         // Drain like a fail-stop: in-flight stragglers are dropped,
         // then recover() observes the cancel and fails the job.
-        beginFailStop("cancelled");
+        beginFailStop("cancelled", 0);
         return;
     case JobState::Recovering:
         _cancelRequested = true;
@@ -455,7 +490,6 @@ ServeJob::refreshDrainState()
 void
 ServeJob::fail(const std::string &reason)
 {
-    _error = reason;
     _result.failed = true;
     _result.retriesExhausted = _retriesExhausted;
     _result.error = reason;
@@ -489,8 +523,8 @@ ServeJob::rebuildGate()
     _gate = std::make_unique<CommitGate>();
     if (_hooks.wakeAll)
         _gate->onCommit(_hooks.wakeAll);
-    if (_hooks.commitEvent)
-        _gate->onCommitEvent(_hooks.commitEvent);
+    if (_config.commitObserver)
+        _gate->onCommitEvent(_config.commitObserver);
     _binding.jobId = _id;
     _binding.space = &_space;
     _binding.gate = _gate.get();
@@ -498,29 +532,54 @@ ServeJob::rebuildGate()
 }
 
 void
-ServeJob::beginFailStop(const std::string &reason)
+ServeJob::beginFailStop(const std::string &reason, int stage)
 {
     _failStopPending = true;
     _failStopReason = reason;
+    _failStopStage = stage;
     _pendingDrain = _session.inflight();
     setState(JobState::Recovering);
 }
 
-void
-ServeJob::finish(double nowSeconds)
+double
+ServeJob::phaseBusySeconds() const
 {
-    double total =
-        _session.secOffset() + (nowSeconds - _phaseStart);
-    _result = _session.collect(total, _session.busyOffset());
+    // Every task of this job has completed (or drained) by the time
+    // the coordinator asks, so every worker's add is in the count.
+    return static_cast<double>(_binding.busyNs.load() - _phaseBusyNs) *
+           1e-9;
+}
+
+void
+ServeJob::finish()
+{
+    _finishedAt = _hooks.clock();
+    setState(JobState::Done);
+}
+
+void
+ServeJob::collectResult()
+{
+    NASPIPE_ASSERT(_state == JobState::Done,
+                   "collectResult() on job ", _id, " in state ",
+                   jobStateName(_state));
+    _result = _session.collect(
+        _session.secOffset() + (_finishedAt - _phaseStart),
+        _session.busyOffset() + phaseBusySeconds());
     RunMetrics &m = _result.metrics;
-    m.wallSeconds = nowSeconds - _startedAt;
+    // wallSeconds is this process's real run time after set-up;
+    // simSeconds (set by the session) additionally carries the
+    // producing run's seconds across a resume.
+    m.wallSeconds = _finishedAt - _startedAt;
     m.execWorkers = _config.numStages;
     m.gateCommits = _gate->commits();
     m.faultsInjected = _injector.firedCount();
     m.recoveries = _recoveries;
     m.subnetsReplayed = _subnetsReplayed;
     m.recoverySeconds = _recoverySecondsTotal;
-    setState(JobState::Done);
+    m.lostComputeSeconds = _lostComputeSeconds;
+    for (const TraceRecord &rec : _faultRecords)
+        _result.trace->add(rec);
 }
 
 } // namespace serve

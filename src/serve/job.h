@@ -2,7 +2,8 @@
  * @file
  * ServeJob — one tenant of the multi-tenant search service.
  *
- * A job wraps everything that must be *private* for per-job bitwise
+ * A job is one training run — a SearchSpace plus a RuntimeConfig —
+ * and wraps everything that must be *private* for per-job bitwise
  * reproducibility and fault isolation: a TrainingSession (sampler,
  * score delivery, checkpoint cadence), a CommitGate (the job's own
  * causal chains — CSP's guarantee is per supernet, so chains never
@@ -10,7 +11,9 @@
  * plan and a bounded-retry recovery policy. What it does NOT own is
  * compute: admitted subnets are dispatched into the shared
  * StageWorker pool, tagged with this job's JobBinding so the workers
- * resolve the right gate and executor per task.
+ * resolve the right gate and executor per task. This is the only
+ * threaded implementation of CSP training: a solo threaded run
+ * (runTrainingThreaded) is the one job of a one-job service.
  *
  * Lifecycle (the serve state machine):
  *
@@ -25,10 +28,12 @@
  * pipeline; Draining jobs injected everything and await completions;
  * Recovering jobs took a fail-stop fault and are discarding their
  * in-flight stragglers before rolling back to the last drained
- * checkpoint. Done/Failed are terminal. One job's crash — even its
- * retry exhaustion — only ever touches its own state: the rollback
- * restores the job's private store and rebuilds the job's private
- * gate, while the shared workers never stop serving the neighbors.
+ * checkpoint. Done/Failed are terminal. Fail-stop faults are
+ * job-logical: no thread dies, the job only freezes. One job's crash
+ * — even its retry exhaustion — only ever touches its own state: the
+ * rollback restores the job's private store and rebuilds the job's
+ * private gate, while the shared workers never stop serving the
+ * neighbors.
  */
 
 #ifndef NASPIPE_SERVE_JOB_H
@@ -58,7 +63,7 @@ enum class JobState {
     Recovering,  ///< fail-stop taken; draining stragglers, will
                  ///< roll back to the last drained checkpoint
     Draining,    ///< all subnets injected; completions outstanding
-    Done,        ///< finished; result available
+    Done,        ///< finished; result once run() returns
     Failed,      ///< cancelled, crashed out of retries, or rejected
 };
 
@@ -76,7 +81,7 @@ struct JobSpec {
     int steps = 32;        ///< subnets to train (totalSubnets)
     int priority = 1;      ///< WRR weight; higher = more slots
     int ckptInterval = 0;  ///< drained-checkpoint cadence (0: off)
-    /** Persist drained checkpoints here; on start, a checkpoint
+    /** Persist drained checkpoints here; at submission, a checkpoint
      *  already present at this path resumes the job from it (the
      *  resubmit-after-interruption path — the resumed trajectory is
      *  bitwise the uninterrupted one). */
@@ -96,6 +101,14 @@ struct JobSpec {
  * shared pool a stall/degrade would perturb every tenant.
  */
 bool validateJobSpec(const JobSpec &spec, std::string *why);
+
+/**
+ * The run a validated @p spec describes on a @p numStages-deep pool
+ * (a NASPipe system with numerics on). A checkpoint already present
+ * at spec.ckptPath becomes the resumePath — the resubmit-after-
+ * interruption path shares the solo executor's one resume rule.
+ */
+RuntimeConfig jobRuntimeConfig(const JobSpec &spec, int numStages);
 
 /**
  * Parse a CLI job spec: comma-separated `key=value` pairs with keys
@@ -124,30 +137,21 @@ class ServeJob : public ExecutionBackend
             dispatch;
         /** Wake every pool worker (a job-gate commit hook). */
         std::function<void()> wakeAll;
-        /**
-         * Observer of every commit on this job's gate, as
-         * (layerKey, subnet, chain rank, stage) — the per-job
-         * CspOracle's live tap. Called from worker threads; must be
-         * thread-safe.
-         */
-        std::function<void(std::uint64_t, SubnetId, std::size_t,
-                           int)>
-            commitEvent;
-        /**
-         * Called after each successful recovery with the job's
-         * 1-based recovery count. The job gate was recreated, so
-         * chains restart at rank 0 — a live CspOracle resets its
-         * cursors here.
-         */
-        std::function<void(int)> recovered;
+        /** The service clock in seconds (the job's time base). */
+        std::function<double()> clock;
+        /** Latch a transient fault into the victim pool worker. */
+        std::function<void(const FaultSpec &, const FaultEffect &)>
+            perturb;
     };
 
     /**
      * @param id service-assigned job ID (also the metric namespace)
-     * @param spec validated job description
-     * @param numStages shared pool depth (== every job's stages)
+     * @param spec the tenancy: name, WRR priority and window cap
+     * @param space the job's space (must outlive the job's result)
+     * @param config the run; numStages is the shared pool depth
      */
-    ServeJob(int id, JobSpec spec, int numStages);
+    ServeJob(int id, JobSpec spec, const SearchSpace &space,
+             RuntimeConfig config);
 
     ServeJob(const ServeJob &) = delete;
     ServeJob &operator=(const ServeJob &) = delete;
@@ -161,11 +165,13 @@ class ServeJob : public ExecutionBackend
 
     /**
      * Queued -> Admitted: build this phase's commit gate, initialize
-     * the session and pre-materialize the store. Returns false (and
-     * fails the job) when the capacity planner rejects the spec.
-     * @p nowSeconds is the service clock (the job's time origin).
+     * the session, resume from config.resumePath when set and
+     * pre-materialize the store. Returns false (and fails the job)
+     * when the capacity planner rejects the run or the resume file
+     * does not restore; a job resumed at its final barrier is Done
+     * on return. The job's clock starts after this set-up.
      */
-    bool start(PoolHooks hooks, double nowSeconds);
+    bool start(PoolHooks hooks);
 
     /**
      * Assign the global dispatch ticket of the *next* admitted
@@ -179,12 +185,12 @@ class ServeJob : public ExecutionBackend
 
     /**
      * Apply one completed subnet: compute the loss, record it, fire
-     * due faults (fail-stop flips the job to Recovering), take the
-     * drained checkpoint at a barrier, and finish the job when this
-     * was the last subnet. @p nowSeconds is the service wall clock.
+     * due faults (a fail-stop flips the job to Recovering, a
+     * transient fault is latched into the pool), take the drained
+     * checkpoint at a barrier, and finish the job when this was the
+     * last subnet.
      */
-    void applyCompletion(const std::shared_ptr<const SubnetRun> &run,
-                         double nowSeconds);
+    void applyCompletion(const std::shared_ptr<const SubnetRun> &run);
 
     /**
      * One straggler of a Recovering job drained (and was dropped).
@@ -199,20 +205,30 @@ class ServeJob : public ExecutionBackend
      * replay the sampler. Neighbors are untouched by construction:
      * everything rebuilt here is job-private.
      */
-    bool recover(double nowSeconds);
+    bool recover();
 
     /** Cancel: Queued jobs fail immediately; live jobs drain their
      *  in-flight stragglers first (dropped, like a fail-stop), then
      *  fail without recovery. */
     void requestCancel();
-    bool cancelRequested() const { return _cancelRequested; }
 
     /** Mark Draining once everything is injected (status cosmetics;
      *  the admission gates already stop the pump). */
     void refreshDrainState();
 
-    /** Collect the run result (valid once Done). */
+    /**
+     * Done -> result: the post-run search, hash and causal audit.
+     * The service calls it once its workers have stopped, so this
+     * coordinator work is neither pool time nor a stall for the
+     * other tenants.
+     */
+    void collectResult();
+
+    /** The run result (once collected, or failure fields once
+     *  Failed). */
     const RunResult &result() const { return _result; }
+    /** Move the result out (the solo adapter's hand-off). */
+    RunResult takeResult() { return std::move(_result); }
 
     /** Terminal-failure record. */
     void fail(const std::string &reason);
@@ -227,9 +243,10 @@ class ServeJob : public ExecutionBackend
         return _state == JobState::Done ||
                _state == JobState::Failed;
     }
-    const std::string &error() const { return _error; }
+    const std::string &error() const { return _result.error; }
     bool retriesExhausted() const { return _retriesExhausted; }
     const SearchSpace &space() const { return _space; }
+    const RuntimeConfig &config() const { return _config; }
     TrainingSession &session() { return _session; }
     const TrainingSession &session() const { return _session; }
     /** Reserved in-flight window (admission-control accounting). */
@@ -246,25 +263,26 @@ class ServeJob : public ExecutionBackend
   private:
     void setState(JobState next);
     void rebuildGate();
-    void beginFailStop(const std::string &reason);
-    void finish(double nowSeconds);
+    void fireFaults();
+    void beginFailStop(const std::string &reason, int stage);
+    void finish();
+    /** Busy seconds the workers spent on this phase's tasks. */
+    double phaseBusySeconds() const;
 
     const int _id;
     const JobSpec _spec;
 
     // Declaration order matters: the session holds references to the
     // space and the config, so both must outlive (= precede) it.
-    SearchSpace _space;
-    RuntimeConfig _config;
+    const SearchSpace &_space;
+    const RuntimeConfig _config;
     TrainingSession _session;
 
     JobState _state = JobState::Queued;
-    std::string _error;
     bool _retriesExhausted = false;
     bool _cancelRequested = false;
 
-    // Phase-scoped causal chains (rebuilt on every recovery, exactly
-    // like the solo threaded executor's in-place recovery).
+    // Phase-scoped causal chains (rebuilt on every recovery).
     std::unique_ptr<CommitGate> _gate;
     JobBinding _binding;
     PoolHooks _hooks;
@@ -274,15 +292,21 @@ class ServeJob : public ExecutionBackend
     fault::RecoveryPolicy _policy;
     bool _failStopPending = false;
     std::string _failStopReason;
+    int _failStopStage = 0;
     int _pendingDrain = 0;  ///< stragglers left to drop (Recovering)
 
-    // Cumulative fault accounting (across recovery phases).
+    // Cumulative fault accounting (across recovery phases; the trace
+    // records outlive the session trace a recovery re-inits).
     int _recoveries = 0;
     int _subnetsReplayed = 0;
     double _recoverySecondsTotal = 0.0;
+    double _lostComputeSeconds = 0.0;
+    std::vector<TraceRecord> _faultRecords;
 
-    double _startedAt = 0.0;   ///< service clock at start()
+    double _startedAt = 0.0;   ///< service clock after start()'s set-up
     double _phaseStart = 0.0;  ///< service clock at this phase's start
+    double _finishedAt = 0.0;  ///< service clock at the last completion
+    std::uint64_t _phaseBusyNs = 0;  ///< binding busy at phase start
     RunResult _result;
 };
 

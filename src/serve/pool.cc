@@ -8,9 +8,7 @@
 namespace naspipe {
 namespace serve {
 
-SharedStagePool::SharedStagePool(const SearchSpace &defaultSpace,
-                                 Config config)
-    : _defaultSpace(defaultSpace), _config(config)
+SharedStagePool::SharedStagePool(Config config) : _config(config)
 {
     NASPIPE_ASSERT(_config.numStages >= 1,
                    "pool needs >= 1 stage, got ", _config.numStages);
@@ -32,19 +30,10 @@ SharedStagePool::start()
         BoundedTaskQueue<std::shared_ptr<const SubnetRun>>>(
         _config.inboxCapacity);
 
-    // AllResident, predictor off: job stores pre-materialize at
-    // admission and the cache/predictor layer is per-run bookkeeping
-    // that a multi-tenant queue would only muddle (it never touches
-    // numerics, so per-job weights are unaffected).
-    StageWorker::ContextConfig ctx;
-    ctx.mode = MemoryMode::AllResident;
-    ctx.predictor = false;
-
     for (int k = 0; k < _config.numStages; k++) {
         _workers.push_back(std::make_unique<StageWorker>(
-            k, _config.numStages, _defaultSpace, _defaultGate,
-            nullptr, UpdateSemantics::Immediate,
-            _config.inboxCapacity, ctx));
+            k, _config.numStages, _config.inboxCapacity,
+            _config.context));
     }
     for (int k = 0; k < _config.numStages; k++) {
         _workers[static_cast<std::size_t>(k)]->connect(
@@ -67,8 +56,8 @@ SharedStagePool::start()
 
     // Service-level supervision: an incident here means a worker
     // thread actually died or the whole pool hung — never a job
-    // fault (those are coordinator-logical). The sentinel lands in
-    // the completion queue, where the coordinator already blocks.
+    // fail-stop (those are coordinator-logical). The sentinel lands
+    // in the completion queue, where the coordinator already blocks.
     fault::Watchdog::Config wc;
     wc.wallDeadline = _config.wallDeadline;
     wc.deadlineSeconds = _config.deadlineSeconds;
@@ -108,28 +97,36 @@ SharedStagePool::notifyAll()
 }
 
 void
-SharedStagePool::shutdown()
+SharedStagePool::perturb(const FaultSpec &fault,
+                         const FaultEffect &effect)
+{
+    NASPIPE_ASSERT(_started, "fault latched into a stopped pool");
+    StageWorker &victim =
+        *_workers[static_cast<std::size_t>(effect.stage)];
+    // Threads have no simulated clock: a stall sleeps through one
+    // bounded 1 ms wait per planned millisecond, a degrade slows one
+    // executed task per planned millisecond.
+    int units = std::max(1, static_cast<int>(fault.durationMs));
+    if (effect.kind == FaultEffect::Kind::Stall)
+        victim.injectStall(units);
+    else if (effect.kind == FaultEffect::Kind::Degrade)
+        victim.injectDegrade(units);
+}
+
+void
+SharedStagePool::stop(bool abandonQueued)
 {
     if (!_started || _joined)
         return;
     // Watchdog first: a clean drain flips every heartbeat to Exited,
     // which must not read as an incident.
     _watchdog.reset();
-    for (auto &worker : _workers)
-        worker->requestStop();
-    for (auto &worker : _workers)
-        worker->join();
-    _joined = true;
-}
-
-void
-SharedStagePool::abort()
-{
-    if (!_started || _joined)
-        return;
-    _watchdog.reset();
-    for (auto &worker : _workers)
-        worker->requestAbort();
+    for (auto &worker : _workers) {
+        if (abandonQueued)
+            worker->requestAbort();
+        else
+            worker->requestStop();
+    }
     for (auto &worker : _workers)
         worker->join();
     _joined = true;

@@ -2,25 +2,25 @@
  * @file
  * SharedStagePool — one StageWorker pipeline serving every job.
  *
- * The pool is the multiplexed half of the serve architecture: D
- * worker threads (one per pipeline stage), one completion queue, one
- * watchdog — shared by all tenants. Tasks carry their job's binding,
- * so a worker resolves the right commit gate / numeric executor per
- * task; the workers themselves hold no job state, which is what
- * makes a tenant's crash recovery a pure coordinator-side operation
- * (no thread is ever torn down on a job fault).
+ * The pool is the only place StageWorkers are built: D worker
+ * threads (one per pipeline stage), one completion queue, one
+ * watchdog — shared by all tenants, or owned by the one job of a solo
+ * threaded run. Tasks carry their job's binding, so a worker
+ * resolves the right space / commit gate / numeric executor per
+ * task; the workers hold no job state, which is what makes a job's
+ * crash recovery a pure coordinator-side operation.
  *
- * Worker context management runs AllResident with the predictor off:
- * every job's store pre-materializes at admission, and the context
- * cache is pure bookkeeping (never numerics), so sharing it across
- * tenants would only entangle their metric accounting — while the
- * per-job weights stay bitwise-identical either way.
+ * Worker context management follows Config::context. A multi-tenant
+ * service keeps the default, AllResident with the predictor off:
+ * job stores pre-materialize at admission, and the context cache is
+ * pure bookkeeping (never numerics), so sharing it across tenants
+ * would only entangle their metric accounting. A solo run passes its
+ * system's memory mode and predictor.
  *
- * The pool watchdog supervises the *service*, not the jobs: job
- * faults never latch a worker crash (they are job-logical events),
- * so an incident here means a real defect or a hang — the service
- * maps it to a service-level failure, distinct from any per-job
- * failure.
+ * The pool watchdog supervises the *service*, not the jobs: no job
+ * fault stops a worker, so an incident here means a real defect or
+ * a hang — the service maps it to a service-level failure, distinct
+ * from any per-job failure.
  */
 
 #ifndef NASPIPE_SERVE_POOL_H
@@ -33,6 +33,7 @@
 #include "common/lock_rank.h"
 #include "exec/stage_worker.h"
 #include "exec/task_queue.h"
+#include "fault/fault_plan.h"
 #include "fault/watchdog.h"
 
 namespace naspipe {
@@ -52,15 +53,11 @@ class SharedStagePool
         bool wallDeadline = false;
         double deadlineSeconds = 30.0;
         bool recordTrace = false;
+        /** Every worker's context cache / predictor setup. */
+        StageContextConfig context;
     };
 
-    /**
-     * @param defaultSpace single-tenant fallback the worker
-     *        constructor requires; every serve task carries a job
-     *        binding, so it is never consulted (it must merely
-     *        outlive the pool)
-     */
-    SharedStagePool(const SearchSpace &defaultSpace, Config config);
+    explicit SharedStagePool(Config config);
 
     ~SharedStagePool();
 
@@ -76,6 +73,10 @@ class SharedStagePool
     /** Wake every worker (job-gate commit hook). */
     void notifyAll();
 
+    /** Latch a transient fault (stall or degrade) into its victim
+     *  stage worker; other effects are ignored. */
+    void perturb(const FaultSpec &fault, const FaultEffect &effect);
+
     /** Fully-retired subnets (stage 0 backward done) plus the
      *  watchdog's nullptr incident sentinel. */
     BoundedTaskQueue<std::shared_ptr<const SubnetRun>> &
@@ -85,16 +86,15 @@ class SharedStagePool
     }
 
     /** Clean shutdown: drain-stop the workers and join. */
-    void shutdown();
+    void shutdown() { stop(false); }
 
     /** Emergency teardown: abandon queued work and join. */
-    void abort();
+    void abort() { stop(true); }
 
     /** Last watchdog incident (valid after the nullptr sentinel). */
     std::string incidentDescription() const;
 
     int numStages() const { return _config.numStages; }
-    bool started() const { return _started; }
 
     /** Post-shutdown per-stage accounting. */
     const StageWorker &worker(int stage) const
@@ -103,12 +103,9 @@ class SharedStagePool
     }
 
   private:
-    const SearchSpace &_defaultSpace;
-    const Config _config;
+    void stop(bool abandonQueued);
 
-    /** Single-tenant fallback gate the worker constructor requires;
-     *  never used by bound tasks. */
-    CommitGate _defaultGate;
+    const Config _config;
 
     std::vector<std::unique_ptr<StageWorker>> _workers;
     std::unique_ptr<

@@ -18,22 +18,40 @@ SearchService::SearchService(ServiceConfig config) : _config(config)
 }
 
 int
+SearchService::enqueue(JobSpec spec, const SearchSpace &space,
+                       RuntimeConfig config)
+{
+    int id = _nextJobId++;
+    if (spec.name.empty())
+        spec.name = "job" + std::to_string(id);
+    _pendingSpecs.push_back(
+        PendingJob{id, std::move(spec), &space, std::move(config)});
+    return id;
+}
+
+int
 SearchService::submit(const JobSpec &spec, std::string *why)
 {
     if (!validateJobSpec(spec, why))
         return -1;
+    std::vector<int> ids = submitBatch({spec}, why);
+    return ids.empty() ? -1 : ids.front();
+}
+
+int
+SearchService::submit(const SearchSpace &space, RuntimeConfig config,
+                      std::string *why)
+{
+    NASPIPE_ASSERT(config.numStages == _config.numStages,
+                   "run needs ", config.numStages,
+                   " stages; the pool has ", _config.numStages);
     std::lock_guard<RankedMutex> lock(_clientMu);
     if (_draining) {
         if (why)
             *why = "service is draining; submissions closed";
         return -1;
     }
-    int id = _nextJobId++;
-    JobSpec named = spec;
-    if (named.name.empty())
-        named.name = "job" + std::to_string(id);
-    _pendingSpecs.emplace_back(id, std::move(named));
-    return id;
+    return enqueue(JobSpec(), space, std::move(config));
 }
 
 std::vector<int>
@@ -60,12 +78,12 @@ SearchService::submitBatch(const std::vector<JobSpec> &specs,
     }
     ids.reserve(specs.size());
     for (const JobSpec &spec : specs) {
-        int id = _nextJobId++;
-        JobSpec named = spec;
-        if (named.name.empty())
-            named.name = "job" + std::to_string(id);
-        _pendingSpecs.emplace_back(id, std::move(named));
-        ids.push_back(id);
+        _spaces.push_back(
+            std::make_unique<const SearchSpace>(
+                makeSpaceByName(spec.space)));
+        ids.push_back(enqueue(spec, *_spaces.back(),
+                              jobRuntimeConfig(spec,
+                                               _config.numStages)));
     }
     return ids;
 }
@@ -101,6 +119,15 @@ SearchService::job(int jobId) const
     return it == _jobs.end() ? nullptr : it->second.get();
 }
 
+RunResult
+SearchService::takeResult(int jobId)
+{
+    auto it = _jobs.find(jobId);
+    NASPIPE_ASSERT(it != _jobs.end() && it->second->terminal(),
+                   "no terminal job ", jobId);
+    return it->second->takeResult();
+}
+
 double
 SearchService::elapsed() const
 {
@@ -108,48 +135,55 @@ SearchService::elapsed() const
 }
 
 ServeJob::PoolHooks
-SearchService::hooks(int jobId)
+SearchService::hooks()
 {
     ServeJob::PoolHooks h;
     h.dispatch = [this](std::shared_ptr<const SubnetRun> run) {
         _pool->dispatch(std::move(run));
     };
     h.wakeAll = [this] { _pool->notifyAll(); };
-    if (_config.commitObserver) {
-        auto observer = _config.commitObserver;
-        h.commitEvent = [observer, jobId](std::uint64_t layerKey,
-                                          SubnetId subnet,
-                                          std::size_t rank,
-                                          int stage) {
-            observer(jobId, layerKey, subnet, rank, stage);
-        };
-    }
-    if (_config.recoveryObserver) {
-        auto observer = _config.recoveryObserver;
-        h.recovered = [observer, jobId](int attempt) {
-            observer(jobId, attempt);
-        };
-    }
+    h.clock = [this] { return elapsed(); };
+    h.perturb = [this](const FaultSpec &fault,
+                       const FaultEffect &effect) {
+        _pool->perturb(fault, effect);
+    };
     return h;
 }
 
 void
 SearchService::applyControl()
 {
-    std::vector<std::pair<int, JobSpec>> specs;
+    std::vector<PendingJob> pending;
     std::vector<int> cancels;
     {
         std::lock_guard<RankedMutex> lock(_clientMu);
-        specs.swap(_pendingSpecs);
+        pending.swap(_pendingSpecs);
         cancels.swap(_pendingCancels);
     }
-    for (auto &entry : specs) {
+    for (PendingJob &entry : pending) {
+        // The service's observers watch every job through the job
+        // config's own observer fields, tagged with the job's ID.
+        int id = entry.id;
+        if (_config.commitObserver) {
+            entry.config.commitObserver =
+                [observer = _config.commitObserver, id](
+                    std::uint64_t layerKey, SubnetId subnet,
+                    std::size_t rank, int stage) {
+                    observer(id, layerKey, subnet, rank, stage);
+                };
+        }
+        if (_config.recoveryObserver) {
+            entry.config.recoveryObserver =
+                [observer = _config.recoveryObserver, id](int attempt) {
+                    observer(id, attempt);
+                };
+        }
         auto job = std::make_unique<ServeJob>(
-            entry.first, std::move(entry.second),
-            _config.numStages);
-        _sched.addJob(entry.first, job->spec().priority);
-        _inbound[entry.first];
-        _jobs.emplace(entry.first, std::move(job));
+            entry.id, std::move(entry.spec), *entry.space,
+            std::move(entry.config));
+        _sched.addJob(entry.id, job->spec().priority);
+        _inbound[entry.id];
+        _jobs.emplace(entry.id, std::move(job));
     }
     for (int id : cancels) {
         auto it = _jobs.find(id);
@@ -186,9 +220,11 @@ SearchService::admitQueued()
         }
         if (_admittedWindows + window > budget)
             continue;  // wait for a tenant to finish
-        if (job.start(hooks(job.id()), elapsed())) {
+        if (job.start(hooks())) {
             _admittedWindows += window;
             _reserved.insert(job.id());
+            if (job.terminal())
+                finalizeJob(job);  // resumed with nothing left to do
         } else {
             finalizeJob(job);  // capacity planner rejected the spec
         }
@@ -232,7 +268,7 @@ SearchService::progressRecovering()
         }
         if (job.pendingDrain() > 0)
             continue;  // in-flight stragglers still to arrive
-        if (!job.recover(elapsed()))
+        if (!job.recover())
             finalizeJob(job);  // cancelled or retries exhausted
     }
 }
@@ -276,11 +312,7 @@ SearchService::finalizeJob(ServeJob &job)
     NASPIPE_ASSERT(_inbound[job.id()].empty(),
                    "terminal job ", job.id(),
                    " left buffered completions");
-    if (job.state() == JobState::Done) {
-        inform("job ", job.id(), " (", job.spec().name, ") done: ",
-               job.session().finished(), " subnets, hash ",
-               job.supernetHash());
-    } else {
+    if (job.state() == JobState::Failed) {
         inform("job ", job.id(), " (", job.spec().name,
                ") failed: ", job.error());
     }
@@ -301,10 +333,7 @@ SearchService::failService(const std::string &reason)
             continue;
         _inbound[job.id()].clear();
         job.fail("service failure: " + reason);
-        if (_sched.hasJob(job.id()))
-            _sched.removeJob(job.id());
-        if (_reserved.erase(job.id()))
-            _admittedWindows -= job.window();
+        finalizeJob(job);
     }
     _pool->abort();
 }
@@ -323,7 +352,7 @@ SearchService::updateStatus()
         s.priority = job.spec().priority;
         s.injected = job.session().injected();
         s.finished = job.session().finished();
-        s.total = job.spec().steps;
+        s.total = job.config().totalSubnets;
         s.recoveries = job.recoveries();
         s.supernetHash = job.supernetHash();
         s.error = job.error();
@@ -343,9 +372,11 @@ SearchService::run()
         return AllDone;
     }
 
-    // The pool needs a single-tenant fallback space reference for
-    // the worker constructor; any live space works (bound tasks
-    // never consult it), and jobs are never erased from _jobs.
+    // Set the first jobs up before the workers start, so a job's
+    // set-up (session init, store materialization, resume) is never
+    // counted as pool time.
+    admitQueued();
+
     SharedStagePool::Config pc;
     pc.numStages = _config.numStages;
     long long windows = 0;
@@ -359,8 +390,9 @@ SearchService::run()
     pc.watchdogPollMs = _config.watchdogPollMs;
     pc.wallDeadline = _config.wallDeadline;
     pc.deadlineSeconds = _config.deadlineSeconds;
-    _pool = std::make_unique<SharedStagePool>(
-        _jobs.begin()->second->space(), pc);
+    pc.recordTrace = _config.recordTrace;
+    pc.context = _config.stageContext;
+    _pool = std::make_unique<SharedStagePool>(pc);
     _pool->start();
 
     while (!_serviceFailed) {
@@ -443,7 +475,7 @@ SearchService::run()
             std::move(buf.front());
         buf.pop_front();
         ServeJob &job = *_jobs[target];
-        job.applyCompletion(done, elapsed());
+        job.applyCompletion(done);
         if (job.terminal())
             finalizeJob(job);
         updateStatus();
@@ -452,6 +484,15 @@ SearchService::run()
     _wallSeconds = elapsed();
     if (!_serviceFailed)
         _pool->shutdown();
+    for (auto &entry : _jobs) {
+        ServeJob &job = *entry.second;
+        if (job.state() != JobState::Done)
+            continue;
+        job.collectResult();
+        inform("job ", job.id(), " (", job.spec().name, ") done: ",
+               job.session().finished(), " subnets, hash ",
+               job.supernetHash());
+    }
     updateStatus();
 
     if (_serviceFailed)
@@ -480,14 +521,15 @@ SearchService::exportMetricsJson(bool stableOnly) const
         const ServeJob &job = *entry.second;
         std::string p = "job/" + std::to_string(job.id()) + "/";
         reg.text(p + "name", job.spec().name);
-        reg.text(p + "space", job.spec().space);
+        reg.text(p + "space", job.space().name());
         reg.text(p + "state", jobStateName(job.state()));
-        reg.counter(p + "seed", job.spec().seed);
+        reg.counter(p + "seed", job.config().seed);
         reg.counter(p + "priority",
                     static_cast<std::uint64_t>(
                         job.spec().priority));
         reg.counter(p + "total_subnets",
-                    static_cast<std::uint64_t>(job.spec().steps));
+                    static_cast<std::uint64_t>(
+                        job.config().totalSubnets));
         reg.counter(p + "finished_subnets",
                     static_cast<std::uint64_t>(
                         job.session().finished()));

@@ -6,7 +6,8 @@
  * supernet searches over it. Clients submit JobSpecs (singly or as a
  * batch), may cancel jobs, and observe per-job status; run() drives
  * every submitted job to a terminal state on the caller's thread
- * (the coordinator).
+ * (the coordinator). A solo threaded run (runTrainingThreaded) is a
+ * one-job service: it submits its (space, config) pair directly.
  *
  * The coordinator loop is the determinism boundary. All
  * order-sensitive decisions go through the JobScheduler:
@@ -31,7 +32,9 @@
  * drains, admissions pause globally (a deterministic freeze window)
  * so the cross-job schedule replays bit-for-bit. Retry exhaustion
  * fails the one job (the per-job exit-5 path); a pool watchdog
- * incident is a *service* failure and fails every live job.
+ * incident (a real defect, or a hang under the opt-in wall deadline)
+ * is a *service* failure and fails every live job — nothing is
+ * respawned.
  */
 
 #ifndef NASPIPE_SERVE_SERVICE_H
@@ -65,11 +68,14 @@ struct ServiceConfig {
     int watchdogPollMs = 2;   ///< pool watchdog cadence
     bool wallDeadline = false;  ///< opt-in pool hang detector
     double deadlineSeconds = 30.0;
+    bool recordTrace = false;  ///< pool workers record task spans
+    StageContextConfig stageContext;  ///< pool workers' context cache
     /**
      * Observer of every job-gate commit, as (jobId, layerKey,
      * subnet, chain rank, stage). Called from pool worker threads;
      * must be thread-safe. The determinism-audit tests attach one
-     * CspOracle per job here.
+     * CspOracle per job here. When set, the service's observers
+     * replace a submitted run's own RuntimeConfig observers.
      */
     std::function<void(int, std::uint64_t, SubnetId, std::size_t,
                        int)>
@@ -90,7 +96,7 @@ struct JobStatus {
     int finished = 0;
     int total = 0;
     int recoveries = 0;
-    std::uint64_t supernetHash = 0;  ///< valid once Done
+    std::uint64_t supernetHash = 0;  ///< valid once run() returns
     std::string error;               ///< non-empty once Failed
 };
 
@@ -119,6 +125,15 @@ class SearchService
     int submit(const JobSpec &spec, std::string *why = nullptr);
 
     /**
+     * Enqueue one run (the solo executor's path) with default
+     * tenancy. @p space must outlive the service and the result;
+     * @p config must pass ParallelRuntime::supported() and match the
+     * pool depth. Unlike a JobSpec it may carry transient faults.
+     */
+    int submit(const SearchSpace &space, RuntimeConfig config,
+               std::string *why = nullptr);
+
+    /**
      * Batched submission: all specs validate or none enqueue, and
      * the batch receives consecutive job IDs in argument order.
      * Returns the IDs, or empty with @p why set.
@@ -138,15 +153,20 @@ class SearchService
     /** @} */
 
     /**
-     * Drive every job to a terminal state on this thread. Returns
-     * the worst Outcome across jobs (ServiceFailed on a pool
-     * incident).
+     * Drive every job to a terminal state on this thread, then stop
+     * the pool and collect the Done jobs' results. Returns the worst
+     * Outcome across jobs (ServiceFailed on a pool incident).
      */
     int run();
 
     /** Post-run introspection (coordinator thread only). */
     const ServeJob *job(int jobId) const;
     const std::string &serviceError() const { return _serviceError; }
+    /** Move a terminal job's result out (after run()). */
+    RunResult takeResult(int jobId);
+    /** The joined pool's per-stage accounting (after run(); null if
+     *  no job was ever submitted). */
+    const SharedStagePool *pool() const { return _pool.get(); }
 
     /**
      * Deterministic per-job metrics export: every job's Stable
@@ -157,6 +177,16 @@ class SearchService
     std::string exportMetricsJson(bool stableOnly) const;
 
   private:
+    /** A submitted job waiting for the coordinator to pick it up. */
+    struct PendingJob {
+        int id;
+        JobSpec spec;  ///< tenancy (name, priority, window)
+        const SearchSpace *space;
+        RuntimeConfig config;
+    };
+
+    int enqueue(JobSpec spec, const SearchSpace &space,
+                RuntimeConfig config);
     double elapsed() const;
     void applyControl();
     void admitQueued();
@@ -169,9 +199,13 @@ class SearchService
     void finalizeJob(ServeJob &job);
     void failService(const std::string &reason);
     void updateStatus();
-    ServeJob::PoolHooks hooks(int jobId);
+    ServeJob::PoolHooks hooks();
 
     const ServiceConfig _config;
+
+    // Spaces of JobSpec-submitted jobs, appended under _clientMu.
+    // Declared before _jobs: every job refers to its space.
+    std::vector<std::unique_ptr<const SearchSpace>> _spaces;
 
     // Coordinator-owned state.
     std::map<int, std::unique_ptr<ServeJob>> _jobs;
@@ -191,7 +225,7 @@ class SearchService
     mutable RankedMutex _clientMu{LockRank::ServeClient};
     int _nextJobId = 1;
     bool _draining = false;
-    std::vector<std::pair<int, JobSpec>> _pendingSpecs;
+    std::vector<PendingJob> _pendingSpecs;
     std::vector<int> _pendingCancels;
     std::vector<JobStatus> _statusSnap;
 };

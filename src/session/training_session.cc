@@ -8,13 +8,38 @@
 
 namespace naspipe {
 
+namespace {
+
+/** The workload calibration a run uses (family default if unset). */
+ActivationModel
+activationFor(const SearchSpace &space, const RuntimeConfig &config)
+{
+    return config.activation.bytesPerSample
+               ? config.activation
+               : defaultActivationModel(space.family());
+}
+
+} // namespace
+
+CapacityPlan
+planCapacity(const SearchSpace &space, const RuntimeConfig &config)
+{
+    // Capacity planning decides whether this system can run at all
+    // and at which batch size; an explicitly pinned batch (the
+    // reproducibility methodology) is checked against capacity too.
+    CapacityPlanner planner(space, config.cluster.gpu,
+                            activationFor(space, config));
+    return config.batch > 0
+               ? planner.planWithBatch(config.system, config.numStages,
+                                       config.batch)
+               : planner.plan(config.system, config.numStages);
+}
+
 TrainingSession::TrainingSession(const SearchSpace &space,
                                  const RuntimeConfig &config)
     : _space(space), _config(config), _model(config.system),
       _numStages(config.numStages),
-      _activation(config.activation.bytesPerSample
-                      ? config.activation
-                      : defaultActivationModel(space.family())),
+      _activation(activationFor(space, config)),
       _scoreScale(config.scoreScale > 0.0
                       ? config.scoreScale
                       : defaultScoreScale(space.family()))
@@ -26,14 +51,7 @@ TrainingSession::TrainingSession(const SearchSpace &space,
 bool
 TrainingSession::initRun()
 {
-    // Capacity planning decides whether this system can run at all
-    // and at which batch size; an explicitly pinned batch (the
-    // reproducibility methodology) is checked against capacity too.
-    CapacityPlanner planner(_space, _config.cluster.gpu, _activation);
-    _plan = _config.batch > 0
-                ? planner.planWithBatch(_model, _numStages,
-                                        _config.batch)
-                : planner.plan(_model, _numStages);
+    _plan = planCapacity(_space, _config);
     if (!_plan.fits)
         return false;
     _batch = _plan.batch;

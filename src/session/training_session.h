@@ -3,7 +3,7 @@
  * TrainingSession: the runtime-agnostic coordinator core.
  *
  * Both executors — the discrete-event simulator (PipelineRuntime) and
- * the real thread pool (ParallelRuntime) — used to reimplement the
+ * the real thread pool (serve::ServeJob) — used to reimplement the
  * same coordinator: draw subnets in sequence order, gate injection on
  * the in-flight limit / feedback lag / checkpoint drain barrier,
  * deliver quality scores to the sampler in sequence-ID order, take
@@ -42,6 +42,14 @@
 #include "train/run_checkpoint.h"
 
 namespace naspipe {
+
+/**
+ * The capacity plan a run of @p config on @p space executes under —
+ * exactly what TrainingSession::initRun() plans. Its fits flag says
+ * whether the run is possible at all (the OOM verdict).
+ */
+CapacityPlan planCapacity(const SearchSpace &space,
+                          const RuntimeConfig &config);
 
 /**
  * What an executor must provide to run under a TrainingSession. All

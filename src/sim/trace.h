@@ -30,7 +30,7 @@ enum class TraceKind {
     Flush,        ///< BSP bulk barrier
     Fault,        ///< injected fault firing
     Checkpoint,   ///< run checkpoint written at a drain barrier
-    Recovery,     ///< rollback + respawn after a fail-stop fault
+    Recovery,     ///< rollback + replay after a fail-stop fault
 };
 
 /** Human-readable tag for a trace kind. */

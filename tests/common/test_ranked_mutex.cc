@@ -63,12 +63,11 @@ class RankedMutexTest : public ::testing::Test
 TEST_F(RankedMutexTest, RankNamesAndLevelsAreStable)
 {
     const LockRank ranks[] = {
-        LockRank::ServeClient,       LockRank::ServePoolIncident,
-        LockRank::ExecIncident,      LockRank::FaultWatchdog,
-        LockRank::ExecQueue,         LockRank::ExecWorkerSignal,
-        LockRank::ExecGateTable,     LockRank::ExecGateWait,
-        LockRank::TrainContext,      LockRank::TrainAccessLog,
-        LockRank::VerifyOracle,
+        LockRank::ServeClient,      LockRank::ServePoolIncident,
+        LockRank::FaultWatchdog,    LockRank::ExecQueue,
+        LockRank::ExecWorkerSignal, LockRank::ExecGateTable,
+        LockRank::ExecGateWait,     LockRank::TrainContext,
+        LockRank::TrainAccessLog,   LockRank::VerifyOracle,
     };
     int previous = 0;
     for (LockRank rank : ranks) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <thread>
+#include <vector>
 
 #include "exec/commit_gate.h"
 
@@ -87,6 +88,28 @@ TEST(CommitGate, CommitHookFires)
     gate.onCommit([&fired] { fired++; });
     gate.commit(1, 0);
     EXPECT_EQ(fired, 1);
+}
+
+TEST(CommitGate, EventHookRunsBeforeThePublish)
+{
+    // The live oracle relies on this: while the hook runs, the chain
+    // still shows the claim's rank as its commit count, so the next
+    // activator cannot have been released (and cannot commit ahead
+    // of this event) yet.
+    CommitGate gate;
+    gate.registerActivation(7, 0);
+    gate.registerActivation(7, 4);
+    std::vector<std::size_t> seen;
+    gate.onCommitEvent([&gate, &seen](std::uint64_t layerKey,
+                                      SubnetId, std::size_t rank,
+                                      int) {
+        EXPECT_EQ(gate.committedOf(layerKey), rank);
+        seen.push_back(gate.committedOf(layerKey));
+    });
+    gate.commit(7, 0);
+    gate.commit(7, 4);
+    EXPECT_EQ(seen, (std::vector<std::size_t>{0, 1}));
+    EXPECT_EQ(gate.committedOf(7), 2u);
 }
 
 TEST(CommitGate, WaitReadableBlocksUntilCommit)

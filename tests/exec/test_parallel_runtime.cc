@@ -1,6 +1,6 @@
 /**
  * @file
- * ParallelRuntime unit tests: support matrix, metrics surface, and
+ * Threaded executor unit tests: support matrix, metrics surface, and
  * small end-to-end runs on threads.
  */
 

@@ -3,13 +3,14 @@
  * Threaded-executor fault tolerance (the supervision layer's
  * acceptance test).
  *
- * A threaded run that loses a stage worker to a fail-stop fault must
- * recover automatically — watchdog detection, rollback to the last
- * drained checkpoint, in-place respawn, CSP-order replay — and finish
- * with weights bitwise identical to a fault-free run. Checked on the
- * paper spaces NLP.c1 and CV.c1 across 2/4/8 workers, under the live
- * CspOracle, and against the simulator driving the *same* fault plan
- * (one seeded plan, one event sequence, both executors).
+ * A threaded run that takes a fail-stop fault must recover
+ * automatically — freeze, drain the stragglers, roll back to the
+ * last drained checkpoint, CSP-order replay — and finish with weights
+ * bitwise identical to a fault-free run. Checked on the paper spaces
+ * NLP.c1 and CV.c1 across 2/4/8 workers, under the live CspOracle,
+ * and against the simulator driving the *same* fault plan (one
+ * seeded plan, one event sequence, both executors). A watchdog
+ * incident, by contrast, fails the run: nothing is respawned.
  */
 
 #include <gtest/gtest.h>
@@ -82,6 +83,7 @@ TEST(ThreadedFaultRecovery, CrashRecoversBitwiseOnPaperSpaces)
             RuntimeConfig faulty = clean;
             faulty.ckptInterval = 4;
             faulty.faults.push_back(crashAt(9, workers / 2));
+            faulty.traceEnabled = true;
             RunResult recovered = runAudited(space, faulty);
 
             EXPECT_EQ(recovered.supernetHash, faultFree.supernetHash)
@@ -96,6 +98,18 @@ TEST(ThreadedFaultRecovery, CrashRecoversBitwiseOnPaperSpaces)
             // frozen.
             EXPECT_EQ(recovered.metrics.subnetsReplayed, 1);
             EXPECT_GT(recovered.metrics.recoverySeconds, 0.0);
+            // The crashed phase's work is charged as lost, and the
+            // trace keeps the fault and the rollback across the
+            // recovery's session re-init.
+            EXPECT_GT(recovered.metrics.lostComputeSeconds, 0.0);
+            ASSERT_TRUE(recovered.trace);
+            int faults = 0, recoveries = 0;
+            for (const TraceRecord &rec : recovered.trace->records()) {
+                faults += rec.kind == TraceKind::Fault;
+                recoveries += rec.kind == TraceKind::Recovery;
+            }
+            EXPECT_EQ(faults, 1);
+            EXPECT_EQ(recoveries, 1);
         }
     }
 }
@@ -208,6 +222,33 @@ TEST(ThreadedFaultRecovery, RetriesExhaustedFailsTheRun)
     EXPECT_TRUE(result.failed);
     EXPECT_TRUE(result.retriesExhausted);
     EXPECT_NE(result.error.find("retries exhausted"),
+              std::string::npos)
+        << result.error;
+}
+
+TEST(ThreadedFaultRecovery, WatchdogIncidentFailsTheRun)
+{
+    // A stage that stops making progress past the opt-in wall
+    // deadline is a pool incident, not a job fault: the run fails
+    // with the watchdog's reason — no retry, no respawn, no hang.
+    SearchSpace space("tfr-hang", SpaceFamily::Nlp, 12, 4, 5);
+    RuntimeConfig c = config(2, 12);
+    c.batch = 16;
+    c.ckptInterval = 4;
+    c.wallWatchdog = true;
+    c.watchdogDeadlineSeconds = 0.010;
+    FaultSpec stall;
+    stall.kind = FaultKind::StageStall;
+    stall.atStep = 2;
+    stall.stage = 1;
+    stall.durationMs = 200.0;
+    c.faults.push_back(stall);
+    RunResult result = runTrainingThreaded(space, c);
+    EXPECT_TRUE(result.failed);
+    EXPECT_FALSE(result.retriesExhausted);
+    EXPECT_EQ(result.metrics.recoveries, 0);
+    EXPECT_NE(result.error.find(
+                  "no logical progress within the wall deadline"),
               std::string::npos)
         << result.error;
 }

@@ -175,6 +175,36 @@ TEST(ServeService, CrashRecoveryIsBitwiseAndJobScoped)
     EXPECT_EQ(j2->result().losses, solo2.losses);
 }
 
+TEST(ServeService, DropOnOneStagePoolIsANoOp)
+{
+    // One dispatch rule for every executor: a one-stage pipeline has
+    // no links, so a dropped link does nothing — as in the simulator
+    // and the solo run — instead of forcing a rollback.
+    JobSpec spec = job("NLP.c1", 11, 8);
+    spec.ckptInterval = 2;
+    FaultSpec drop;
+    drop.kind = FaultKind::LinkDrop;
+    drop.atStep = 4;
+    spec.faults.push_back(drop);
+
+    ServiceConfig sc;
+    sc.numStages = 1;
+    AuditedService as(sc, 1);
+    std::string why;
+    int id = as.service->submit(spec, &why);
+    ASSERT_GT(id, 0) << why;
+    as.service->drain();
+    ASSERT_EQ(as.service->run(), SearchService::AllDone)
+        << as.service->serviceError();
+
+    as.audit(id);
+    const ServeJob *j = as.service->job(id);
+    EXPECT_EQ(j->recoveries(), 0);
+    EXPECT_EQ(j->result().metrics.faultsInjected, 1);
+    EXPECT_EQ(j->result().supernetHash,
+              soloRun("NLP.c1", 11, 8, 1).supernetHash);
+}
+
 TEST(ServeService, RetryExhaustionFailsOneJobOnly)
 {
     // retries=0: the first crash exhausts the budget. The service

@@ -32,18 +32,22 @@
  * Violations print a report naming layer, stage and the offending
  * sequence IDs, and the process exits 4.
  *
- * --inject-fault works with both executors: the simulator transitions
- * its hardware models, the threaded executor latches the fault into
- * the victim stage worker (a crashed worker abandons its inbox; the
- * heartbeat watchdog detects it and the run rolls back to the last
- * drained checkpoint, respawns the stage and replays in CSP order to
- * bitwise-identical weights). Recovery retries are bounded
+ * --inject-fault works with both executors, through one dispatch
+ * rule: the simulator transitions its hardware models; the threaded
+ * executor (a one-job search service) latches a stall or degrade
+ * into the victim stage worker, and treats a crash or drop as a
+ * job-logical fail-stop — the run freezes, drops its in-flight
+ * stragglers, rolls back to the last drained checkpoint and replays
+ * in CSP order to bitwise-identical weights, with every worker
+ * thread still running. Recovery retries are bounded
  * (--recovery-retries, default 3 consecutive) with modeled
- * exponential backoff; exhaustion exits 5.
+ * exponential backoff; exhaustion exits 5. A watchdog incident (a
+ * worker defect, or no progress within the --obs-wall hang
+ * deadline) fails the threaded run instead: exit 3.
  *
  * Exit codes: 0 ok, 2 bad arguments or OOM, 3 run failure (bad
- * resume file etc.), 4 CSP invariant violated, 5 recovery retries
- * exhausted.
+ * resume file, watchdog incident etc.), 4 CSP invariant violated,
+ * 5 recovery retries exhausted.
  *
  * Spaces: NLP.c0..c3, CV.c1..c3 (Table 1).
  * Systems: naspipe, gpipe, pipedream, vpipe, naspipe-no-scheduler,

@@ -226,7 +226,7 @@ main(int argc, char **argv)
             }
             const serve::ServeJob *job = service.job(s.id);
             table.addRow({std::to_string(s.id), s.name,
-                          job ? job->spec().space : "?",
+                          job ? job->space().name() : "?",
                           serve::jobStateName(s.state),
                           std::to_string(s.priority),
                           std::to_string(s.finished) + "/" +
