@@ -35,13 +35,12 @@ namespace {
  * the pool served nothing else, so its workers' stats are the run's.
  */
 void
-addPoolAccounting(const serve::SharedStagePool &pool,
-                  const SystemModel &model, RunResult &out)
+addPoolAccounting(const serve::SharedStagePool &pool, RunResult &out)
 {
     RunMetrics &m = out.metrics;
     double wall = m.wallSeconds;
     double bubbleTotal = 0.0;
-    std::uint64_t hits = 0, misses = 0;
+    std::vector<const ContextManager *> contexts;
     std::vector<TraceRecord> merged;
     for (int k = 0; k < pool.numStages(); k++) {
         const StageWorker &worker = pool.worker(k);
@@ -62,28 +61,12 @@ addPoolAccounting(const serve::SharedStagePool &pool,
             bubbleTotal += std::clamp(1.0 - s.busySec / wall, 0.0, 1.0);
         // Stage-ascending merge: deterministic observation order.
         out.observations.stages.push_back(worker.observation());
-
-        // Real per-worker context-cache accounting (the port of the
-        // simulator's ContextManager); AllResident systems have no
-        // cache and report N/A.
-        const ExecContextCache &cache = worker.cache();
-        hits += cache.memory().hitStats().hits();
-        misses += cache.memory().hitStats().misses();
-        m.prefetchedBytes += cache.stats().prefetchedBytes;
-        m.syncFetchedBytes += cache.stats().syncFetchedBytes;
-        m.cachePeakBytes =
-            std::max(m.cachePeakBytes, cache.memory().peakBytes());
-        m.cacheBudgetBytes = cache.budgetBytes();
+        contexts.push_back(&worker.contextManager());
         merged.insert(merged.end(), worker.traceRecords().begin(),
                       worker.traceRecords().end());
     }
     m.bubbleRatio = bubbleTotal / pool.numStages();
-    if (model.memory != MemoryMode::AllResident) {
-        m.cacheHitRate =
-            (hits + misses)
-                ? static_cast<double>(hits) / (hits + misses)
-                : 0.0;
-    }
+    addContextStats(contexts, m);
     std::sort(merged.begin(), merged.end(),
               [](const TraceRecord &a, const TraceRecord &b) {
                   return a.start != b.start ? a.start < b.start
@@ -123,7 +106,6 @@ runTrainingThreaded(const SearchSpace &space,
     sc.recordTrace = config.traceEnabled;
     sc.stageContext.mode = model.memory;
     sc.stageContext.predictor = model.predictor;
-    sc.stageContext.prefetchDepth = model.prefetchDepth;
     sc.stageContext.budgetBytes = plan.cacheBudgetBytes(model.memory);
 
     serve::SearchService service(sc);
@@ -132,7 +114,7 @@ runTrainingThreaded(const SearchSpace &space,
     service.run();
     out = service.takeResult(id);
     if (!out.failed)
-        addPoolAccounting(*service.pool(), model, out);
+        addPoolAccounting(*service.pool(), out);
     return out;
 }
 

@@ -11,8 +11,8 @@ namespace naspipe {
 StageWorker::StageWorker(int stage, int numStages,
                          std::size_t inboxCapacity, ContextConfig ctx)
     : _stage(stage), _numStages(numStages), _inbox(inboxCapacity),
-      _cache(ctx.mode, ctx.budgetBytes),
-      _predictor(ctx.predictor, ctx.prefetchDepth)
+      _ctx(ctx.mode, ctx.budgetBytes),
+      _predictor(ctx.predictor)
 {
     NASPIPE_ASSERT(stage >= 0 && stage < numStages,
                    "stage index out of range");
@@ -113,7 +113,7 @@ StageWorker::prefetchRun(const SubnetRun &run)
 {
     auto [lo, hi] = blockRange(run);
     if (lo <= hi)
-        _cache.prefetch(*run.job->space, run.subnet, lo, hi);
+        _ctx.prefetch(*run.job->space, run.subnet, lo, hi, ++_ctxTick);
 }
 
 std::vector<SubnetId>
@@ -237,7 +237,8 @@ StageWorker::execForward(Pending pending)
     prefetchPredicted(_predictor.beforeForward(run.subnet.id(),
                                                queuedForwardIds()));
     if (lo <= hi)
-        _cache.ensureResident(*run.job->space, run.subnet, lo, hi);
+        _ctx.ensureResident(*run.job->space, run.subnet, lo, hi,
+                            ++_ctxTick);
     NumericExecutor *exec = run.job->exec;
     double start = secondsSinceEpoch();
     if (exec && lo <= hi) {
@@ -280,7 +281,8 @@ StageWorker::execBackward(Pending pending)
     // contexts if the budget evicted them.
     prefetchPredicted(_predictor.beforeBackward(queuedForwardIds()));
     if (lo <= hi)
-        _cache.ensureResident(*run.job->space, run.subnet, lo, hi);
+        _ctx.ensureResident(*run.job->space, run.subnet, lo, hi,
+                            ++_ctxTick);
     NumericExecutor *exec = run.job->exec;
     double start = secondsSinceEpoch();
     if (exec && lo <= hi) {
@@ -312,7 +314,7 @@ StageWorker::execBackward(Pending pending)
     // evict it so the resident set stays at the ~3 moving contexts
     // the budget plans for.
     if (lo <= hi)
-        _cache.evictSubnet(*run.job->space, run.subnet, lo, hi);
+        _ctx.evictSubnet(*run.job->space, run.subnet, lo, hi, _ctxTick);
 
     if (_stage > 0) {
         _prev->submit(

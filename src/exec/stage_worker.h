@@ -41,7 +41,7 @@
 #include "exec/commit_gate.h"
 #include "exec/task_queue.h"
 #include "fault/heartbeat.h"
-#include "memory/exec_context_cache.h"
+#include "memory/context_manager.h"
 #include "obs/run_observations.h"
 #include "obs/wall_clock.h"
 #include "partition/partitioner.h"
@@ -97,7 +97,6 @@ struct ExecTask {
 struct StageContextConfig {
     MemoryMode mode = MemoryMode::AllResident;
     bool predictor = false;  ///< Algorithm-3 prediction enabled
-    int prefetchDepth = 2;   ///< predicted tasks to prefetch
     std::uint64_t budgetBytes = 0;  ///< §4.2 cap; 0 = unlimited
 };
 
@@ -124,7 +123,7 @@ class StageWorker
      * @param stage this worker's stage index
      * @param numStages pipeline depth D
      * @param inboxCapacity bounded-inbox capacity (>= in-flight limit)
-     * @param ctx context cache/predictor configuration
+     * @param ctx context manager/predictor configuration
      */
     StageWorker(int stage, int numStages, std::size_t inboxCapacity,
                 ContextConfig ctx = ContextConfig());
@@ -178,8 +177,8 @@ class StageWorker
     /** Post-join accounting. */
     const Stats &stats() const { return _stats; }
 
-    /** Post-join context-cache accounting. */
-    const ExecContextCache &cache() const { return _cache; }
+    /** Post-join context-manager accounting. */
+    const ContextManager &contextManager() const { return _ctx; }
 
     /** Post-join trace records (empty unless recordTrace). */
     const std::vector<TraceRecord> &traceRecords() const
@@ -246,8 +245,11 @@ class StageWorker
     std::deque<Pending> _bwd;
     std::vector<Pending> _fwd;  ///< sorted by ascending sequence ID
 
-    // Context management (worker thread only; read after join()).
-    ExecContextCache _cache;
+    // Context management (worker thread only; read after join()). The
+    // manager has no GPU; its tick is this worker's access counter,
+    // advanced on every prefetch and every execution.
+    ContextManager _ctx;
+    Tick _ctxTick = 0;
     ExecPredictor _predictor;
 
     std::thread _thread;

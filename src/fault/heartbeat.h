@@ -5,11 +5,10 @@
  *
  * A heartbeat carries two facts the watchdog may read from any
  * thread: a *logical-progress counter* (tasks executed — the
- * deterministic signal) and a coarse lifecycle *state*. Crash
- * detection is purely state-based: a worker that dies marks itself
- * Crashed, and the watchdog reacts to the flag, never to elapsed
- * time (injected fail-stop faults are job-logical and never stop a
- * worker). Wall-clock hang deadlines exist too but are opt-in
+ * deterministic signal) and a coarse lifecycle *state*. Injected
+ * fail-stop faults are job-logical and never stop a worker, so the
+ * only thing a watchdog looks for is a hang: no logical progress
+ * within a wall deadline. That deadline is opt-in
  * (RuntimeConfig::wallWatchdog, the CLI's --obs-wall), because a
  * timing-based detection can fire at different logical points on
  * different machines.
@@ -28,11 +27,10 @@ namespace fault {
 enum class WorkerState : int {
     Running = 0,  ///< executing or waiting for work
     Stalled,      ///< sleeping through an injected transient stall
-    Crashed,      ///< the worker died (a defect); inbox abandoned
     Exited,       ///< clean exit (drain or abort)
 };
 
-/** Printable state name ("running", "crashed", ...). */
+/** Printable state name ("running", "stalled", ...). */
 const char *workerStateName(WorkerState state);
 
 /**

@@ -15,8 +15,6 @@ workerStateName(WorkerState state)
         return "running";
     case WorkerState::Stalled:
         return "stalled";
-    case WorkerState::Crashed:
-        return "crashed";
     case WorkerState::Exited:
         return "exited";
     }
@@ -69,15 +67,6 @@ Watchdog::totalProgress() const
 bool
 Watchdog::detect(int *worker, std::string *reason)
 {
-    for (std::size_t i = 0; i < _hearts.size(); i++) {
-        if (_hearts[i]->state() == WorkerState::Crashed) {
-            *worker = static_cast<int>(i);
-            *reason = "stage worker crashed (fail-stop fault)";
-            return true;
-        }
-    }
-    if (!_config.wallDeadline)
-        return false;
     std::uint64_t progress = totalProgress();
     if (progress != _lastProgress) {
         _lastProgress = progress;

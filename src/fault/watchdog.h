@@ -3,17 +3,14 @@
  * Watchdog — the supervision layer's failure detector.
  *
  * A Watchdog owns one polling thread that scans a set of worker
- * heartbeats and reports the first incident it sees to a callback:
- *
- *  - **Crash detection** (always on): a heartbeat whose state is
- *    Crashed names its worker as the victim. This is state-based;
- *    injected fail-stop faults are job-logical and never stop a
- *    worker, so a crashed worker is a defect.
- *  - **Hang detection** (opt-in, Config::wallDeadline): when the sum
- *    of all logical-progress counters stops advancing for longer
- *    than the wall deadline, the run is declared hung. Wall deadlines
- *    are inherently timing-dependent, so they are armed only when
- *    the caller explicitly opted into wall-clock observability.
+ * heartbeats for a hang: when the sum of all logical-progress
+ * counters stops advancing for longer than the wall deadline, it
+ * reports the first worker that has not exited to a callback.
+ * Injected fail-stop faults are job-logical and never stop a worker,
+ * so a hang is the only incident there is. Wall deadlines are
+ * inherently timing-dependent, so owners build a watchdog only when
+ * the caller explicitly opted into wall-clock observability
+ * (RuntimeConfig::wallWatchdog).
  *
  * The callback fires at most once per Watchdog lifetime: an incident
  * fails the service that owns the workers, so nothing re-arms it.
@@ -40,12 +37,8 @@ class Watchdog
 {
   public:
     struct Config {
-        /** Arm the wall-clock hang deadline (timing-dependent;
-         *  deterministic runs leave it off and rely on crash
-         *  states only). */
-        bool wallDeadline = false;
         /** Seconds without any logical progress before the run is
-         *  declared hung (wallDeadline only). */
+         *  declared hung. */
         double deadlineSeconds = 30.0;
         /** Heartbeat scan period in milliseconds (>= 1; configured
          *  via RuntimeConfig::watchdogPollMs / the CLIs'

@@ -118,20 +118,21 @@ struct RuntimeConfig {
     /** Base of the modeled exponential recovery backoff. */
     double recoveryBackoffSeconds = 1.0;
     /**
-     * Arm the watchdog's wall-clock hang deadline (threaded executor
-     * only). Crash detection is state-based and always on; the wall
-     * deadline is opt-in because it is timing-dependent — the CLI
-     * enables it with --obs-wall.
+     * Run the watchdog's wall-clock hang deadline (threaded executor
+     * only). No fault stops a worker, so a hang is the only incident
+     * and without this there is no watchdog at all; it is opt-in
+     * because it is timing-dependent — the CLI enables it with
+     * --obs-wall.
      */
     bool wallWatchdog = false;
     /** Wall deadline for the hang detector when wallWatchdog is on. */
     double watchdogDeadlineSeconds = 30.0;
     /**
-     * Heartbeat scan cadence of the watchdog's polling thread in
-     * milliseconds (CLI --watchdog-interval-ms). Purely a detection
-     * latency / idle-wakeup trade-off: crash detection is state-based,
-     * so the cadence never changes what is detected, only how fast —
-     * serve tests tighten it, battery-friendly runs relax it.
+     * Heartbeat scan cadence of the wall-deadline watchdog in
+     * milliseconds (CLI --watchdog-interval-ms; used only with
+     * wallWatchdog). Purely a detection latency / idle-wakeup
+     * trade-off: the cadence never changes what is detected, only
+     * how fast.
      */
     int watchdogPollMs = 2;
     /**

@@ -7,13 +7,13 @@ ExecPredictor::lowestQueued(SubnetId exclude,
                             const std::vector<SubnetId> &queuedFwd)
 {
     std::vector<SubnetId> picks;
-    if (!_enabled || _prefetchDepth <= 0)
+    if (!_enabled)
         return picks;
     for (SubnetId id : queuedFwd) {
         if (id == exclude)
             continue;
         picks.push_back(id);
-        if (static_cast<int>(picks.size()) >= _prefetchDepth)
+        if (static_cast<int>(picks.size()) >= kPrefetchDepth)
             break;
     }
     _stats.predicted += picks.size();

@@ -19,12 +19,19 @@
  *    re-fetch path when the budget evicted them);
  *  - *before a forward* (Algorithm 3 lines 16-18): the forwards
  *    queued right after the one being launched run next — prefetch
- *    up to prefetchDepth of them.
+ *    up to kPrefetchDepth of them.
  *
- * The predictor only *names* subnets; the worker's ExecContextCache
- * performs (and accounts) the fetches. Like the cache it never gates
- * execution, so prediction quality affects the hit rate, not the
- * trained weights.
+ * The predictor only *names* subnets; the worker's ContextManager
+ * performs (and accounts) the fetches. Like the manager it never
+ * gates execution, so prediction quality affects the hit rate, not
+ * the trained weights.
+ *
+ * This stays separate from the simulator's Predictor because the two
+ * make different predictions: Predictor re-runs
+ * CspPolicy::schedulableForward over the DependencyTracker and keeps
+ * L_blocked from backward messages, while ExecPredictor names the
+ * lowest queued forwards with no readiness check. Merging them would
+ * change the simulator's pinned cache-hit figures.
  */
 
 #ifndef NASPIPE_SCHEDULE_EXEC_PREDICTOR_H
@@ -50,14 +57,11 @@ class ExecPredictor
         std::uint64_t predicted = 0;  ///< subnets named for prefetch
     };
 
-    /**
-     * @param enabled disabled predictors never name anything
-     * @param prefetchDepth predicted tasks to prefetch per call
-     */
-    ExecPredictor(bool enabled, int prefetchDepth)
-        : _enabled(enabled), _prefetchDepth(prefetchDepth)
-    {
-    }
+    /** Most subnets one prediction call names. */
+    static constexpr int kPrefetchDepth = 2;
+
+    /** @param enabled disabled predictors never name anything */
+    explicit ExecPredictor(bool enabled) : _enabled(enabled) {}
 
     bool enabled() const { return _enabled; }
 
@@ -85,7 +89,6 @@ class ExecPredictor
                  const std::vector<SubnetId> &queuedFwd);
 
     bool _enabled;
-    int _prefetchDepth;
     Stats _stats;
 };
 

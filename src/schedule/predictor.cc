@@ -68,11 +68,4 @@ Predictor::beforeForward(const StageInfo &stage, SubnetId current,
     }
 }
 
-void
-Predictor::reset()
-{
-    _blocked.clear();
-    _stats = PredictorStats();
-}
-
 } // namespace naspipe

@@ -98,8 +98,6 @@ class Predictor
 
     const PredictorStats &stats() const { return _stats; }
 
-    void reset();
-
   private:
     std::vector<PendingBackward> _blocked;  ///< L_blocked
     PredictorStats _stats;

@@ -54,12 +54,21 @@ SharedStagePool::start()
     for (auto &worker : _workers)
         worker->start(epoch, _config.recordTrace);
 
-    // Service-level supervision: an incident here means a worker
-    // thread actually died or the whole pool hung — never a job
-    // fail-stop (those are coordinator-logical). The sentinel lands
-    // in the completion queue, where the coordinator already blocks.
+    // Without the wall deadline there is nothing to detect, so no
+    // watchdog thread runs.
+    if (_config.wallDeadline)
+        startWatchdog();
+    _started = true;
+}
+
+void
+SharedStagePool::startWatchdog()
+{
+    // Service-level supervision: an incident here means the whole
+    // pool hung — never a job fail-stop (those are
+    // coordinator-logical). The sentinel lands in the completion
+    // queue, where the coordinator already blocks.
     fault::Watchdog::Config wc;
-    wc.wallDeadline = _config.wallDeadline;
     wc.deadlineSeconds = _config.deadlineSeconds;
     wc.pollMs = _config.watchdogPollMs;
     std::vector<const fault::WorkerHeartbeat *> hearts;
@@ -76,7 +85,6 @@ SharedStagePool::start()
             }
             _completions->push(nullptr);
         });
-    _started = true;
 }
 
 void

@@ -3,12 +3,13 @@
  * SharedStagePool — one StageWorker pipeline serving every job.
  *
  * The pool is the only place StageWorkers are built: D worker
- * threads (one per pipeline stage), one completion queue, one
- * watchdog — shared by all tenants, or owned by the one job of a solo
- * threaded run. Tasks carry their job's binding, so a worker
- * resolves the right space / commit gate / numeric executor per
- * task; the workers hold no job state, which is what makes a job's
- * crash recovery a pure coordinator-side operation.
+ * threads (one per pipeline stage), one completion queue and, when
+ * the wall deadline is on, one watchdog — shared by all tenants, or
+ * owned by the one job of a solo threaded run. Tasks carry their
+ * job's binding, so a worker resolves the right space / commit gate
+ * / numeric executor per task; the workers hold no job state, which
+ * is what makes a job's crash recovery a pure coordinator-side
+ * operation.
  *
  * Worker context management follows Config::context. A multi-tenant
  * service keeps the default, AllResident with the predictor off:
@@ -18,9 +19,9 @@
  * system's memory mode and predictor.
  *
  * The pool watchdog supervises the *service*, not the jobs: no job
- * fault stops a worker, so an incident here means a real defect or
- * a hang — the service maps it to a service-level failure, distinct
- * from any per-job failure.
+ * fault stops a worker, so its only incident is a hang past the
+ * opt-in wall deadline — the service maps it to a service-level
+ * failure, distinct from any per-job failure.
  */
 
 #ifndef NASPIPE_SERVE_POOL_H
@@ -47,9 +48,11 @@ class SharedStagePool
         /** Stage-inbox and completion-queue capacity; size to at
          *  least the admitted jobs' summed in-flight windows. */
         std::size_t inboxCapacity = 16;
-        /** Watchdog heartbeat scan cadence (--watchdog-interval-ms). */
+        /** Wall-deadline heartbeat scan cadence
+         *  (--watchdog-interval-ms). */
         int watchdogPollMs = 2;
-        /** Opt-in wall-clock hang deadline (timing-dependent). */
+        /** Opt-in wall-clock hang deadline (timing-dependent); the
+         *  pool builds its watchdog only when this is on. */
         bool wallDeadline = false;
         double deadlineSeconds = 30.0;
         bool recordTrace = false;
@@ -64,7 +67,7 @@ class SharedStagePool
     SharedStagePool(const SharedStagePool &) = delete;
     SharedStagePool &operator=(const SharedStagePool &) = delete;
 
-    /** Build and start the workers and the watchdog. */
+    /** Build and start the workers (and the watchdog, if any). */
     void start();
 
     /** Submit a forward into stage 0 (coordinator thread). */
@@ -103,6 +106,7 @@ class SharedStagePool
     }
 
   private:
+    void startWatchdog();
     void stop(bool abandonQueued);
 
     const Config _config;
@@ -114,6 +118,7 @@ class SharedStagePool
 
     // Declared after the queue: the watchdog's incident callback
     // pushes the sentinel into it, so it must be destroyed first.
+    // Null unless Config::wallDeadline.
     std::unique_ptr<fault::Watchdog> _watchdog;
     mutable RankedMutex _poolIncidentMu{LockRank::ServePoolIncident};
     int _incidentStage = -1;

@@ -32,9 +32,8 @@
  * drains, admissions pause globally (a deterministic freeze window)
  * so the cross-job schedule replays bit-for-bit. Retry exhaustion
  * fails the one job (the per-job exit-5 path); a pool watchdog
- * incident (a real defect, or a hang under the opt-in wall deadline)
- * is a *service* failure and fails every live job — nothing is
- * respawned.
+ * incident (a hang under the opt-in wall deadline) is a *service*
+ * failure and fails every live job — nothing is respawned.
  */
 
 #ifndef NASPIPE_SERVE_SERVICE_H
@@ -65,7 +64,7 @@ struct ServiceConfig {
      * room. 0 = unbounded.
      */
     int maxTotalInflight = 0;
-    int watchdogPollMs = 2;   ///< pool watchdog cadence
+    int watchdogPollMs = 2;   ///< wall-deadline watchdog cadence
     bool wallDeadline = false;  ///< opt-in pool hang detector
     double deadlineSeconds = 30.0;
     bool recordTrace = false;  ///< pool workers record task spans

@@ -1,8 +1,8 @@
 /**
  * @file
  * Supervision-layer unit tests: the recovery policy's bounded
- * retries and exponential backoff, the heartbeat watchdog's crash
- * and hang detection, and the seeded fault plan's determinism (the
+ * retries and exponential backoff, the heartbeat watchdog's hang
+ * detection, and the seeded fault plan's determinism (the
  * executor-agnostic contract — one seed, one event sequence,
  * everywhere).
  */
@@ -79,32 +79,10 @@ TEST(WorkerHeartbeat, TracksProgressAndState)
     hb.beat();
     hb.beat();
     EXPECT_EQ(hb.progress(), 2u);
-    hb.setState(WorkerState::Crashed);
-    EXPECT_EQ(hb.state(), WorkerState::Crashed);
-    EXPECT_STREQ(fault::workerStateName(WorkerState::Crashed),
-                 "crashed");
+    hb.setState(WorkerState::Stalled);
+    EXPECT_EQ(hb.state(), WorkerState::Stalled);
     EXPECT_STREQ(fault::workerStateName(WorkerState::Stalled),
                  "stalled");
-}
-
-TEST(Watchdog, DetectsACrashedWorker)
-{
-    std::vector<WorkerHeartbeat> hearts(3);
-    std::promise<std::pair<int, std::string>> incident;
-    auto fired = incident.get_future();
-    Watchdog dog(
-        Watchdog::Config{},
-        {&hearts[0], &hearts[1], &hearts[2]},
-        [&incident](int worker, const std::string &reason) {
-            incident.set_value({worker, reason});
-        });
-    hearts[1].setState(WorkerState::Crashed);
-    ASSERT_EQ(fired.wait_for(std::chrono::seconds(10)),
-              std::future_status::ready);
-    auto [worker, reason] = fired.get();
-    EXPECT_EQ(worker, 1);
-    EXPECT_NE(reason.find("crashed"), std::string::npos);
-    EXPECT_EQ(dog.incidents(), 1);
 }
 
 TEST(Watchdog, FiresAtMostOncePerLifetime)
@@ -113,19 +91,21 @@ TEST(Watchdog, FiresAtMostOncePerLifetime)
     std::atomic<int> fires{0};
     std::promise<void> first;
     auto firstFired = first.get_future();
-    Watchdog dog(Watchdog::Config{}, {&hearts[0], &hearts[1]},
+    Watchdog::Config config;
+    config.deadlineSeconds = 0.005;
+    config.pollMs = 1;
+    Watchdog dog(config, {&hearts[0], &hearts[1]},
                  [&](int, const std::string &) {
                      if (fires.fetch_add(1) == 0)
                          first.set_value();
                  });
-    hearts[0].setState(WorkerState::Crashed);
     ASSERT_EQ(firstFired.wait_for(std::chrono::seconds(10)),
               std::future_status::ready);
-    // A second crash must not re-fire the same watchdog — the
-    // runtime re-arms by constructing a fresh one per phase.
-    hearts[1].setState(WorkerState::Crashed);
+    // No beats keep arriving, so the hang persists for many more
+    // polls; it must not re-fire the same watchdog — an incident
+    // fails the owning service and nothing re-arms it.
     std::promise<void> settle;
-    settle.get_future().wait_for(std::chrono::milliseconds(20));
+    settle.get_future().wait_for(std::chrono::milliseconds(30));
     EXPECT_EQ(fires.load(), 1);
     EXPECT_EQ(dog.incidents(), 1);
 }
@@ -152,7 +132,6 @@ TEST(Watchdog, WallDeadlineIsOptInAndDetectsHangs)
     std::promise<std::pair<int, std::string>> incident;
     auto fired = incident.get_future();
     Watchdog::Config config;
-    config.wallDeadline = true;
     config.deadlineSeconds = 0.01;
     config.pollMs = 1;
     hearts[0].setState(WorkerState::Exited);  // hung victim is [1]

@@ -1,11 +1,13 @@
 /**
  * @file
- * Context predictor tests (Algorithm 3).
+ * Context predictor tests (Algorithm 3): the simulator's Predictor
+ * and the threaded executor's ExecPredictor.
  */
 
 #include <gtest/gtest.h>
 
 #include "mock_stage.h"
+#include "schedule/exec_predictor.h"
 #include "schedule/predictor.h"
 
 namespace naspipe {
@@ -139,18 +141,6 @@ TEST(Predictor, StatsAccumulate)
     EXPECT_GE(predictor.stats().fetchesRequested, 1u);
 }
 
-TEST(Predictor, ResetClearsState)
-{
-    MockStage stage(0, 2, 0, 1);
-    stage.addSubnet(sn(0, {0, 0}));
-    Predictor predictor;
-    FetchRecorder rec;
-    predictor.beforeBackward(stage, 0, {{9, 9}}, rec.fn());
-    predictor.reset();
-    EXPECT_TRUE(predictor.blocked().empty());
-    EXPECT_EQ(predictor.stats().calls, 0u);
-}
-
 TEST(Predictor, NullFetchPanics)
 {
     MockStage stage(0, 2, 0, 1);
@@ -158,6 +148,47 @@ TEST(Predictor, NullFetchPanics)
     Predictor predictor;
     EXPECT_THROW(predictor.beforeForward(stage, 0, nullptr),
                  std::logic_error);
+}
+
+TEST(ExecPredictor, DisabledNamesAndCountsNothing)
+{
+    ExecPredictor predictor(false);
+    EXPECT_TRUE(predictor.beforeForward(1, {2, 3, 4}).empty());
+    EXPECT_TRUE(predictor.beforeBackward({2, 3, 4}).empty());
+    EXPECT_EQ(predictor.stats().beforeForward, 0u);
+    EXPECT_EQ(predictor.stats().beforeBackward, 0u);
+    EXPECT_EQ(predictor.stats().predicted, 0u);
+}
+
+TEST(ExecPredictor, BeforeForwardSkipsCurrentUpToTheDepth)
+{
+    static_assert(ExecPredictor::kPrefetchDepth == 2);
+    ExecPredictor predictor(true);
+    EXPECT_EQ(predictor.beforeForward(4, {3, 4, 5, 6}),
+              (std::vector<SubnetId>{3, 5}));
+    EXPECT_EQ(predictor.beforeForward(7, {8}),
+              (std::vector<SubnetId>{8}));
+    EXPECT_TRUE(predictor.beforeForward(7, {7}).empty());
+    EXPECT_EQ(predictor.stats().beforeForward, 3u);
+}
+
+TEST(ExecPredictor, BeforeBackwardNamesTheLowestQueuedForwards)
+{
+    ExecPredictor predictor(true);
+    EXPECT_EQ(predictor.beforeBackward({5, 7, 9}),
+              (std::vector<SubnetId>{5, 7}));
+    EXPECT_TRUE(predictor.beforeBackward({}).empty());
+    EXPECT_EQ(predictor.stats().beforeBackward, 2u);
+}
+
+TEST(ExecPredictor, PredictedCountsEverySubnetNamed)
+{
+    ExecPredictor predictor(true);
+    std::size_t named = predictor.beforeForward(0, {1, 2, 3}).size() +
+                        predictor.beforeBackward({4}).size() +
+                        predictor.beforeBackward({}).size();
+    EXPECT_EQ(named, 3u);
+    EXPECT_EQ(predictor.stats().predicted, named);
 }
 
 } // namespace

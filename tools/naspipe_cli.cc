@@ -41,9 +41,9 @@
  * in CSP order to bitwise-identical weights, with every worker
  * thread still running. Recovery retries are bounded
  * (--recovery-retries, default 3 consecutive) with modeled
- * exponential backoff; exhaustion exits 5. A watchdog incident (a
- * worker defect, or no progress within the --obs-wall hang
- * deadline) fails the threaded run instead: exit 3.
+ * exponential backoff; exhaustion exits 5. A watchdog incident (no
+ * progress within the --obs-wall hang deadline, scanned every
+ * --watchdog-interval-ms) fails the threaded run instead: exit 3.
  *
  * Exit codes: 0 ok, 2 bad arguments or OOM, 3 run failure (bad
  * resume file, watchdog incident etc.), 4 CSP invariant violated,

@@ -31,6 +31,11 @@
  * registry (job/<id>/...; logical mode, byte-identical across
  * reruns of the same specs).
  *
+ * --watchdog-interval-ms sets the scan cadence of the pool's
+ * wall-deadline watchdog. This tool does not arm that deadline
+ * (ServiceConfig::wallDeadline), so the pool runs no watchdog and
+ * the value is accepted but unused.
+ *
  * Exit codes: 0 all jobs done, 2 bad arguments, 3 >= 1 job failed,
  * 5 >= 1 job exhausted its recovery retries, 6 service failure
  * (shared pool incident — every live job lost).
