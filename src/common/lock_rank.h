@@ -35,8 +35,9 @@
  *
  * Witness cost model: in Release (NDEBUG, no NASPIPE_LOCK_WITNESS)
  * every wrapper method compiles to the underlying std::mutex /
- * std::shared_mutex call plus one dead int member — BENCH_9.json
- * records that witness-off throughput is unchanged vs BENCH_8.json.
+ * std::shared_mutex call plus one dead int member, so the Release
+ * build the repo benchmark times (BENCHMARK.json, perfbench/README.md)
+ * pays nothing for the witness.
  */
 
 #ifndef NASPIPE_COMMON_LOCK_RANK_H

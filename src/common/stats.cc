@@ -1,98 +1,10 @@
 #include "common/stats.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/logging.h"
 
 namespace naspipe {
-
-void
-Summary::add(double sample)
-{
-    _count++;
-    _sum += sample;
-    _min = std::min(_min, sample);
-    _max = std::max(_max, sample);
-}
-
-double
-Summary::min() const
-{
-    return _count ? _min : 0.0;
-}
-
-double
-Summary::max() const
-{
-    return _count ? _max : 0.0;
-}
-
-void
-Summary::merge(const Summary &other)
-{
-    _count += other._count;
-    _sum += other._sum;
-    _min = std::min(_min, other._min);
-    _max = std::max(_max, other._max);
-}
-
-void
-Summary::reset()
-{
-    *this = Summary();
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : _lo(lo), _width((hi - lo) / static_cast<double>(buckets)),
-      _counts(buckets, 0)
-{
-    NASPIPE_ASSERT(hi > lo, "histogram range must be non-empty");
-    NASPIPE_ASSERT(buckets > 0, "histogram needs at least one bucket");
-}
-
-void
-Histogram::add(double sample)
-{
-    _total++;
-    if (sample < _lo) {
-        _underflow++;
-        return;
-    }
-    auto idx = static_cast<std::size_t>((sample - _lo) / _width);
-    if (idx >= _counts.size()) {
-        _overflow++;
-        return;
-    }
-    _counts[idx]++;
-}
-
-std::uint64_t
-Histogram::bucketCount(std::size_t idx) const
-{
-    NASPIPE_ASSERT(idx < _counts.size(), "bucket index out of range");
-    return _counts[idx];
-}
-
-double
-Histogram::quantile(double q) const
-{
-    NASPIPE_ASSERT(q >= 0.0 && q <= 1.0, "quantile must be in [0,1]");
-    if (_total == 0)
-        return _lo;
-    const double target = q * static_cast<double>(_total);
-    double seen = static_cast<double>(_underflow);
-    if (seen >= target)
-        return _lo;
-    for (std::size_t i = 0; i < _counts.size(); i++) {
-        seen += static_cast<double>(_counts[i]);
-        if (seen >= target) {
-            // Report the upper edge of the satisfying bucket.
-            return _lo + _width * static_cast<double>(i + 1);
-        }
-    }
-    return _lo + _width * static_cast<double>(_counts.size());
-}
 
 void
 UtilizationTracker::addBusy(double start, double end)

@@ -3,9 +3,8 @@
  * Statistics primitives used across the simulator and the runtime.
  *
  * The evaluation section of the paper reports utilizations, bubble
- * ratios, hit rates and averaged execution times; these small classes
- * accumulate them in a deterministic, order-independent-where-possible
- * way.
+ * ratios and hit rates; these small classes accumulate them in a
+ * deterministic, order-independent-where-possible way.
  */
 
 #ifndef NASPIPE_COMMON_STATS_H
@@ -13,89 +12,8 @@
 
 #include <cstdint>
 #include <limits>
-#include <string>
-#include <vector>
 
 namespace naspipe {
-
-/** Simple named monotonic counter. */
-class Counter
-{
-  public:
-    Counter() = default;
-    explicit Counter(std::string name) : _name(std::move(name)) {}
-
-    /** Add @p delta (default 1) to the counter. */
-    void inc(std::uint64_t delta = 1) { _value += delta; }
-
-    /** Current value. */
-    std::uint64_t value() const { return _value; }
-
-    /** Reset to zero. */
-    void reset() { _value = 0; }
-
-    const std::string &name() const { return _name; }
-
-  private:
-    std::string _name;
-    std::uint64_t _value = 0;
-};
-
-/** Running scalar summary: count/sum/min/max/mean. */
-class Summary
-{
-  public:
-    /** Record one sample. */
-    void add(double sample);
-
-    std::uint64_t count() const { return _count; }
-    double sum() const { return _sum; }
-    double mean() const { return _count ? _sum / _count : 0.0; }
-    double min() const;
-    double max() const;
-
-    /** Merge another summary into this one. */
-    void merge(const Summary &other);
-
-    void reset();
-
-  private:
-    std::uint64_t _count = 0;
-    double _sum = 0.0;
-    double _min = std::numeric_limits<double>::infinity();
-    double _max = -std::numeric_limits<double>::infinity();
-};
-
-/** Fixed-width histogram over [lo, hi) with overflow buckets. */
-class Histogram
-{
-  public:
-    /**
-     * @param lo lower edge of the first bucket
-     * @param hi upper edge of the last bucket
-     * @param buckets number of equal-width buckets
-     */
-    Histogram(double lo, double hi, std::size_t buckets);
-
-    void add(double sample);
-
-    std::uint64_t bucketCount(std::size_t idx) const;
-    std::uint64_t underflow() const { return _underflow; }
-    std::uint64_t overflow() const { return _overflow; }
-    std::size_t buckets() const { return _counts.size(); }
-    std::uint64_t total() const { return _total; }
-
-    /** Sample value below which @p q of the mass lies (approximate). */
-    double quantile(double q) const;
-
-  private:
-    double _lo;
-    double _width;
-    std::vector<std::uint64_t> _counts;
-    std::uint64_t _underflow = 0;
-    std::uint64_t _overflow = 0;
-    std::uint64_t _total = 0;
-};
 
 /**
  * Busy/idle interval tracker for a resource (GPU ALU, copy engine).

@@ -1,7 +1,6 @@
 #include "runtime/pipeline_runtime.h"
 
 #include <algorithm>
-#include <sstream>
 
 #include "common/logging.h"
 #include "runtime/stage.h"
@@ -63,12 +62,10 @@ struct PipelineRuntime::Impl : ExecutionBackend {
     std::uint64_t stallMirrorWait = 0;
 
     // Fault state. A "phase" is one sim.run() between (re)starts; the
-    // session's offsets carry wall-clock and busy time across phases.
+    // session's offsets carry wall-clock and busy time across phases,
+    // and the session counts the recoveries.
     bool crashed = false;  ///< fail-stop fired; sim was stopped
-    int recoveries = 0;
-    int subnetsReplayed = 0;
-    double recoverySecondsTotal = 0.0;
-    double lostComputeSeconds = 0.0;
+    std::string crashReason;
 
     Impl(const SearchSpace &s, const RuntimeConfig &c)
         : space(s), config(c), model(c.system),
@@ -92,21 +89,21 @@ struct PipelineRuntime::Impl : ExecutionBackend {
         return session.blockRange(stage, id);
     }
 
-    // ExecutionBackend: the simulator's injection veto and per-subnet
-    // registration/restore hooks, called from the session's pump()
-    // and restore().
+    // ExecutionBackend: the simulator's injection veto, per-subnet
+    // registration/restore hooks and phase rebuild, called from the
+    // session's pump(), restore() and recover().
     bool canAdmit(SubnetId next) const override;
     void admit(SubnetId id) override;
     void restoreCompleted(SubnetId id) override;
+    void restartPhase() override;
 
-    bool setup();
+    void buildPhase();
     bool upstreamWritesDone(int stage, SubnetId id) const;
     void injectSubnets();
     double busySum() const;
     void checkFaults(Tick end);
     void takeCheckpoint(Tick end);
     void resetRunState();
-    bool beginRecovery();
     void tryDispatch(int k);
     void startForward(int k, SubnetId id);
     void startBackward(int k, SubnetId id);
@@ -120,12 +117,9 @@ struct PipelineRuntime::Impl : ExecutionBackend {
     RunResult collect();
 };
 
-bool
-PipelineRuntime::Impl::setup()
+void
+PipelineRuntime::Impl::buildPhase()
 {
-    if (!session.initRun())
-        return false;
-
     ClusterConfig cc = config.cluster;
     cc.numStages = numStages;
     cluster = std::make_unique<Cluster>(sim, cc);
@@ -162,7 +156,6 @@ PipelineRuntime::Impl::setup()
             std::move(hooks),
             session.plan().cacheBudgetBytes(model.memory)));
     }
-    return true;
 }
 
 bool
@@ -652,6 +645,7 @@ PipelineRuntime::Impl::checkFaults(Tick end)
             else
                 cluster->failStage(stage);
             crashed = true;
+            crashReason = "injected fault: " + f.describe();
             break;
           case FaultEffect::Kind::Stall: {
             // Occupy the stage's compute engine for the stall window;
@@ -693,6 +687,13 @@ PipelineRuntime::Impl::takeCheckpoint(Tick end)
 }
 
 void
+PipelineRuntime::Impl::restartPhase()
+{
+    resetRunState();
+    buildPhase();
+}
+
+void
 PipelineRuntime::Impl::resetRunState()
 {
     sim.reset();
@@ -715,41 +716,6 @@ PipelineRuntime::Impl::resetRunState()
     // deliberately: they are cumulative diagnostics. The session's
     // per-run state resets in initRun(); its checkpoint totals and
     // time offsets carry too.
-}
-
-bool
-PipelineRuntime::Impl::beginRecovery()
-{
-    double simAtCrash = session.secOffset() + ticksToSec(sim.now());
-    double busyAtCrash = session.busyOffset() + busySum();
-
-    RunCheckpoint ckpt;
-    bool haveCkpt = false;
-    if (!session.lastCheckpoint().empty()) {
-        std::istringstream in(session.lastCheckpoint());
-        bool ok = ckpt.load(in);
-        NASPIPE_ASSERT(ok, "in-memory checkpoint unreadable");
-        haveCkpt = true;
-    }
-    recoveries++;
-    subnetsReplayed +=
-        session.finished() - static_cast<int>(ckpt.completed);
-    lostComputeSeconds +=
-        std::max(0.0, busyAtCrash - ckpt.busySeconds);
-    recoverySecondsTotal += config.recoverySeconds;
-    inform("recovering: rollback from ", session.finished(), " to ",
-           ckpt.completed, " completed subnets (",
-           session.finished() - static_cast<int>(ckpt.completed),
-           " to replay)");
-
-    resetRunState();
-    if (!setup())
-        return false;  // cannot happen: the same plan fit before
-    session.setTimeOffsets(simAtCrash + config.recoverySeconds,
-                           ckpt.busySeconds);
-    if (haveCkpt && !session.restore(ckpt))
-        return false;
-    return true;
 }
 
 RunResult
@@ -788,10 +754,6 @@ PipelineRuntime::Impl::collect()
     m.stallMirrorWait = stallMirrorWait;
 
     m.faultsInjected = injector.firedCount();
-    m.recoveries = recoveries;
-    m.subnetsReplayed = subnetsReplayed;
-    m.recoverySeconds = recoverySecondsTotal;
-    m.lostComputeSeconds = lostComputeSeconds;
     return out;
 }
 
@@ -809,28 +771,25 @@ PipelineRuntime::run()
 {
     Impl &im = *_impl;
     TrainingSession &session = im.session;
-    if (!im.setup()) {
+    if (!session.initRun()) {
         RunResult out;
         out.oom = true;
         out.plan = session.plan();
         return out;
     }
+    im.buildPhase();
 
-    if (!im.config.resumePath.empty()) {
-        RunCheckpoint ckpt;
-        if (!ckpt.loadFile(im.config.resumePath) ||
-            !session.restore(ckpt)) {
-            RunResult out;
-            out.failed = true;
-            out.error = "cannot resume from checkpoint '" +
-                        im.config.resumePath + "'";
-            out.plan = session.plan();
-            return out;
-        }
-        session.setTimeOffsets(ckpt.simSeconds, ckpt.busySeconds);
-        session.setCheckpointsWritten(
-            static_cast<int>(ckpt.checkpointsWritten));
-    }
+    auto failed = [&session](const std::string &error) {
+        RunResult out;
+        out.failed = true;
+        out.retriesExhausted = session.retriesExhausted();
+        out.error = error;
+        out.plan = session.plan();
+        return out;
+    };
+    std::string error;
+    if (!session.resume(&error))
+        return failed(error);
 
     im.injectSubnets();
     im.sim.run();
@@ -838,16 +797,14 @@ PipelineRuntime::run()
         // Every fail-stop fault fires exactly once, bounding the
         // recovery loop by the plan size.
         NASPIPE_ASSERT(
-            im.recoveries <
+            session.recoveries() <
                 static_cast<int>(im.injector.plan().size()),
             "recovery loop exceeded the fault plan");
-        if (!im.beginRecovery()) {
-            RunResult out;
-            out.failed = true;
-            out.error = "recovery from the last checkpoint failed";
-            out.plan = session.plan();
-            return out;
-        }
+        if (!session.recover(
+                session.secOffset() + ticksToSec(im.sim.now()),
+                session.busyOffset() + im.busySum(), im.crashReason,
+                &error))
+            return failed(error);
         im.injectSubnets();
         im.sim.run();
     }

@@ -187,10 +187,7 @@ ServeJob::ServeJob(int id, JobSpec spec, const SearchSpace &space,
                    RuntimeConfig config)
     : _id(id), _spec(std::move(spec)), _space(space),
       _config(std::move(config)), _session(_space, _config),
-      _injector(_config.faults),
-      _policy(fault::RecoveryPolicy::Config{
-          _config.recoveryMaxRetries, _config.recoveryBackoffSeconds,
-          60.0})
+      _injector(_config.faults)
 {
     NASPIPE_ASSERT(_config.numStages >= 1,
                    "job needs >= 1 pool stage");
@@ -256,19 +253,14 @@ ServeJob::start(PoolHooks hooks)
     }
     // Resume: restart the trajectory from the checkpoint's drained
     // barrier; the resumed run lands on the uninterrupted run's bits.
+    std::string error;
+    if (!_session.resume(&error)) {
+        fail(error);
+        return false;
+    }
     if (!_config.resumePath.empty()) {
-        RunCheckpoint ckpt;
-        if (!ckpt.loadFile(_config.resumePath) ||
-            !_session.restore(ckpt)) {
-            fail("cannot resume from checkpoint '" +
-                 _config.resumePath + "'");
-            return false;
-        }
-        _session.setTimeOffsets(ckpt.simSeconds, ckpt.busySeconds);
-        _session.setCheckpointsWritten(
-            static_cast<int>(ckpt.checkpointsWritten));
         inform("job ", _id, ": resumed from '", _config.resumePath,
-               "' at ", ckpt.completed, " completed subnets");
+               "' at ", _session.finished(), " completed subnets");
     }
     // Pre-materialize: after this, worker threads only ever look up
     // existing entries, so the store's maps need no structural
@@ -326,7 +318,6 @@ ServeJob::applyCompletion(const std::shared_ptr<const SubnetRun> &run)
     if (_failStopPending)
         return;  // no checkpoint at a crash-coincident barrier
 
-    _policy.noteProgress();
     if (atBarrier) {
         // Drained by construction: injection paused at nextCkptAt.
         // Threaded checkpoints carry wall-clock seconds and no live
@@ -386,50 +377,14 @@ ServeJob::recover()
         fail("cancelled");
         return false;
     }
-    if (!_policy.allowRetry()) {
-        _retriesExhausted = true;
-        fail("recovery retries exhausted after " +
-             std::to_string(_policy.consecutiveFailures() + 1) +
-             " consecutive failures (" + _failStopReason + ")");
-        return false;
-    }
-
     double now = _hooks.clock();
-    double wallAtCrash = _session.secOffset() + (now - _phaseStart);
-    RunCheckpoint ckpt;
-    bool haveCkpt = false;
-    if (!_session.lastCheckpoint().empty()) {
-        std::istringstream in(_session.lastCheckpoint());
-        bool ok = ckpt.load(in);
-        NASPIPE_ASSERT(ok, "in-memory checkpoint unreadable");
-        haveCkpt = true;
-    }
-    _recoveries++;
-    _subnetsReplayed +=
-        _session.finished() - static_cast<int>(ckpt.completed);
-    // Everything the workers ran for the crashed phase is lost: the
-    // rollback discards it and the replay runs it again.
-    _lostComputeSeconds += phaseBusySeconds();
-    // Modeled, not slept: detection + restart plus the policy's
-    // exponential backoff are charged into the run's time offsets.
-    double backoff = _policy.nextBackoffSeconds();
-    _recoverySecondsTotal += _config.recoverySeconds + backoff;
-    inform("job ", _id, " recovering (", _failStopReason,
-           "): rollback from ", _session.finished(), " to ",
-           ckpt.completed, " completed subnets (",
-           _session.finished() - static_cast<int>(ckpt.completed),
-           " to replay, attempt ", _policy.consecutiveFailures(),
-           ")");
-
-    if (!_session.initRun()) {
-        fail("recovery re-plan failed");  // cannot happen: fit before
-        return false;
-    }
-    _session.setTimeOffsets(
-        wallAtCrash + _config.recoverySeconds + backoff,
-        ckpt.busySeconds);
-    if (haveCkpt && !_session.restore(ckpt)) {
-        fail("recovery from the last checkpoint failed");
+    std::string error;
+    if (!_session.recover(_session.secOffset() + (now - _phaseStart),
+                          _session.busyOffset() + phaseBusySeconds(),
+                          "job " + std::to_string(_id) + ", " +
+                              _failStopReason,
+                          &error)) {
+        fail(error);
         return false;
     }
     // restore() drops version-map entries of layers restored at
@@ -442,11 +397,10 @@ ServeJob::recover()
     _faultRecords.push_back(TraceRecord{
         ticksFromSec(now - _startedAt), ticksFromSec(now - _startedAt),
         _failStopStage, TraceKind::Recovery, -1,
-        "rollback to " + std::to_string(ckpt.completed) +
-            ", attempt " +
-            std::to_string(_policy.consecutiveFailures())});
+        "rollback to " + std::to_string(_session.finished()) +
+            ", attempt " + std::to_string(_session.recoveryAttempt())});
     if (_config.recoveryObserver)
-        _config.recoveryObserver(_recoveries);
+        _config.recoveryObserver(_session.recoveries());
     _failStopPending = false;
     _phaseStart = now;
     _phaseBusyNs = _binding.busyNs.load();
@@ -491,7 +445,7 @@ void
 ServeJob::fail(const std::string &reason)
 {
     _result.failed = true;
-    _result.retriesExhausted = _retriesExhausted;
+    _result.retriesExhausted = _session.retriesExhausted();
     _result.error = reason;
     _result.plan = _session.plan();
     setState(JobState::Failed);
@@ -574,10 +528,6 @@ ServeJob::collectResult()
     m.execWorkers = _config.numStages;
     m.gateCommits = _gate->commits();
     m.faultsInjected = _injector.firedCount();
-    m.recoveries = _recoveries;
-    m.subnetsReplayed = _subnetsReplayed;
-    m.recoverySeconds = _recoverySecondsTotal;
-    m.lostComputeSeconds = _lostComputeSeconds;
     for (const TraceRecord &rec : _faultRecords)
         _result.trace->add(rec);
 }

@@ -48,7 +48,6 @@
 #include "exec/commit_gate.h"
 #include "exec/stage_worker.h"
 #include "fault/fault_plan.h"
-#include "fault/recovery_policy.h"
 #include "session/training_session.h"
 #include "tensor/kernels/precision.h"
 
@@ -199,11 +198,11 @@ class ServeJob : public ExecutionBackend
     bool noteStragglerDropped();
 
     /**
-     * Roll back and rejoin: charge the retry policy (exhaustion
-     * fails the job — the per-job exit-5 path), rebuild the gate,
-     * re-init the session, restore the last drained checkpoint and
-     * replay the sampler. Neighbors are untouched by construction:
-     * everything rebuilt here is job-private.
+     * Roll back and rejoin through TrainingSession::recover() (retry
+     * exhaustion fails the job — the per-job exit-5 path), then
+     * re-materialize the store and rebuild the gate. Neighbors are
+     * untouched by construction: everything rebuilt here is
+     * job-private.
      */
     bool recover();
 
@@ -244,15 +243,18 @@ class ServeJob : public ExecutionBackend
                _state == JobState::Failed;
     }
     const std::string &error() const { return _result.error; }
-    bool retriesExhausted() const { return _retriesExhausted; }
+    bool retriesExhausted() const
+    {
+        return _session.retriesExhausted();
+    }
     const SearchSpace &space() const { return _space; }
     const RuntimeConfig &config() const { return _config; }
     TrainingSession &session() { return _session; }
     const TrainingSession &session() const { return _session; }
     /** Reserved in-flight window (admission-control accounting). */
     int window() const;
-    int recoveries() const { return _recoveries; }
-    int subnetsReplayed() const { return _subnetsReplayed; }
+    int recoveries() const { return _session.recoveries(); }
+    int subnetsReplayed() const { return _session.subnetsReplayed(); }
     int pendingDrain() const { return _pendingDrain; }
     std::uint64_t supernetHash() const
     {
@@ -279,7 +281,6 @@ class ServeJob : public ExecutionBackend
     TrainingSession _session;
 
     JobState _state = JobState::Queued;
-    bool _retriesExhausted = false;
     bool _cancelRequested = false;
 
     // Phase-scoped causal chains (rebuilt on every recovery).
@@ -289,18 +290,13 @@ class ServeJob : public ExecutionBackend
     std::uint64_t _nextTicket = 0;
 
     FaultInjector _injector;
-    fault::RecoveryPolicy _policy;
     bool _failStopPending = false;
     std::string _failStopReason;
     int _failStopStage = 0;
     int _pendingDrain = 0;  ///< stragglers left to drop (Recovering)
 
-    // Cumulative fault accounting (across recovery phases; the trace
-    // records outlive the session trace a recovery re-inits).
-    int _recoveries = 0;
-    int _subnetsReplayed = 0;
-    double _recoverySecondsTotal = 0.0;
-    double _lostComputeSeconds = 0.0;
+    // Fault and recovery trace records outlive the session trace a
+    // recovery re-inits.
     std::vector<TraceRecord> _faultRecords;
 
     double _startedAt = 0.0;   ///< service clock after start()'s set-up

@@ -42,7 +42,10 @@ TrainingSession::TrainingSession(const SearchSpace &space,
       _activation(activationFor(space, config)),
       _scoreScale(config.scoreScale > 0.0
                       ? config.scoreScale
-                      : defaultScoreScale(space.family()))
+                      : defaultScoreScale(space.family())),
+      _policy(fault::RecoveryPolicy::Config{
+          config.recoveryMaxRetries, config.recoveryBackoffSeconds,
+          60.0})
 {
     NASPIPE_ASSERT(_numStages >= 1, "need >= 1 stage");
     NASPIPE_ASSERT(config.totalSubnets >= 1, "need >= 1 subnet");
@@ -232,6 +235,7 @@ TrainingSession::recordCompletion(SubnetId id, float loss,
     _scoreBuffer[id] = lossToScore(loss, _scoreScale);
     if (effectiveFeedbackLag() == 0)
         deliverScoresBelow(_config.totalSubnets);
+    _policy.noteProgress();
     return ckptEnabled() && _finished == _nextCkptAt;
 }
 
@@ -402,6 +406,67 @@ TrainingSession::restore(const RunCheckpoint &ckpt)
     return true;
 }
 
+bool
+TrainingSession::resume(std::string *error)
+{
+    if (_config.resumePath.empty())
+        return true;
+    RunCheckpoint ckpt;
+    if (!ckpt.loadFile(_config.resumePath) || !restore(ckpt)) {
+        *error = "cannot resume from checkpoint '" +
+                 _config.resumePath + "'";
+        return false;
+    }
+    setTimeOffsets(ckpt.simSeconds, ckpt.busySeconds);
+    _checkpointsWritten = static_cast<int>(ckpt.checkpointsWritten);
+    return true;
+}
+
+bool
+TrainingSession::recover(double nowSeconds, double busySeconds,
+                         const std::string &reason, std::string *error)
+{
+    if (!_policy.allowRetry()) {
+        _retriesExhausted = true;
+        *error = "recovery retries exhausted after " +
+                 std::to_string(_policy.consecutiveFailures() + 1) +
+                 " consecutive failures (" + reason + ")";
+        return false;
+    }
+
+    RunCheckpoint ckpt;
+    bool haveCkpt = !_lastCkpt.empty();
+    if (haveCkpt) {
+        std::istringstream in(_lastCkpt);
+        bool ok = ckpt.load(in);
+        NASPIPE_ASSERT(ok, "in-memory checkpoint unreadable");
+    }
+    const int replay = _finished - static_cast<int>(ckpt.completed);
+    _recoveries++;
+    _subnetsReplayed += replay;
+    // Everything run since the checkpoint is lost: the rollback
+    // discards it and the replay runs it again.
+    _lostComputeSeconds += std::max(0.0, busySeconds - ckpt.busySeconds);
+    // Modeled, not slept: detection + restart plus the policy's
+    // exponential backoff are charged into the run's time offsets.
+    double charged =
+        _config.recoverySeconds + _policy.nextBackoffSeconds();
+    _recoverySecondsTotal += charged;
+    inform("recovering (", reason, "): rollback from ", _finished,
+           " to ", ckpt.completed, " completed subnets (", replay,
+           " to replay, attempt ", _policy.consecutiveFailures(), ")");
+
+    bool ok = initRun();
+    NASPIPE_ASSERT(ok, "recovery re-plan failed; the run fit before");
+    _backend->restartPhase();
+    setTimeOffsets(nowSeconds + charged, ckpt.busySeconds);
+    if (haveCkpt && !restore(ckpt)) {
+        *error = "recovery from the last checkpoint failed";
+        return false;
+    }
+    return true;
+}
+
 void
 TrainingSession::setTimeOffsets(double secOffset, double busyOffset)
 {
@@ -445,6 +510,11 @@ TrainingSession::collect(double totalSeconds, double busyTotal)
     m.checkpointsWritten = _checkpointsWritten;
     m.checkpointBytes = _checkpointBytes;
     m.checkpointSeconds = _checkpointSecondsTotal;
+
+    m.recoveries = _recoveries;
+    m.subnetsReplayed = _subnetsReplayed;
+    m.recoverySeconds = _recoverySecondsTotal;
+    m.lostComputeSeconds = _lostComputeSeconds;
 
     // The "supernet loss" is the trailing-window mean over the last
     // subnets *by sequence ID* (not completion order), so the metric

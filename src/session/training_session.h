@@ -7,8 +7,10 @@
  * same coordinator: draw subnets in sequence order, gate injection on
  * the in-flight limit / feedback lag / checkpoint drain barrier,
  * deliver quality scores to the sampler in sequence-ID order, take
- * drained checkpoints, replay a checkpoint on resume, and assemble
- * the shared half of RunMetrics. That logic is *exactly* the part of
+ * drained checkpoints, replay a checkpoint on resume, roll back to
+ * the last drained checkpoint after a fail-stop fault under the
+ * bounded-retry policy, and assemble the shared half of
+ * RunMetrics. That logic is *exactly* the part of
  * NASPipe that makes a run a pure function of (seed, scores-by-ID)
  * (Definition 1), so duplicating it was a reproducibility hazard:
  * any drift between the two copies silently broke the bitwise
@@ -38,6 +40,7 @@
 #include <string>
 #include <vector>
 
+#include "fault/recovery_policy.h"
 #include "runtime/pipeline_runtime.h"
 #include "train/run_checkpoint.h"
 
@@ -86,11 +89,20 @@ class ExecutionBackend
      * updates; the backend must NOT re-execute anything.
      */
     virtual void restoreCompleted(SubnetId id) = 0;
+
+    /**
+     * A fail-stop recovery re-initialized the session: drop the
+     * crashed phase's executor state and build the next phase's, so
+     * the restoreCompleted() calls that follow find it. Default:
+     * nothing to rebuild.
+     */
+    virtual void restartPhase() {}
 };
 
 /**
  * The shared coordinator: sampling/injection order, score delivery,
- * checkpoint cadence, resume/replay, and metrics assembly.
+ * checkpoint cadence, resume/replay, fail-stop rollback, and metrics
+ * assembly.
  */
 class TrainingSession
 {
@@ -111,10 +123,10 @@ class TrainingSession
     /**
      * (Re)initialize one run phase: plan capacity, build the sampler
      * / store / numeric executor / tracker / trace, and clear the
-     * per-run state. Cumulative diagnostics (checkpoint totals, time
-     * offsets) survive — the simulator's fault recovery re-inits the
-     * session without losing them. Returns false when the capacity
-     * planner rejects the run (plan() still reports the attempt).
+     * per-run state. Cumulative diagnostics (checkpoint and recovery
+     * totals, time offsets) survive — recover() re-inits the session
+     * without losing them. Returns false when the capacity planner
+     * rejects the run (plan() still reports the attempt).
      */
     bool initRun();
 
@@ -150,9 +162,10 @@ class TrainingSession
      * Record subnet @p id's completion at absolute time @p atSeconds
      * with training loss @p loss. Updates counters, the convergence
      * tracker and the score buffer (delivering immediately when the
-     * feedback lag is 0). Returns true when this completion reached a
-     * drained checkpoint barrier — the caller should then build and
-     * commit a checkpoint before pumping again.
+     * feedback lag is 0), and tells the retry policy the run made
+     * progress. Returns true when this completion reached a drained
+     * checkpoint barrier — the caller should then build and commit a
+     * checkpoint before pumping again.
      */
     bool recordCompletion(SubnetId id, float loss, double atSeconds);
 
@@ -194,14 +207,46 @@ class TrainingSession
      */
     bool restore(const RunCheckpoint &ckpt);
 
-    /** Serialized last checkpoint (fail-stop rollback target). */
-    const std::string &lastCheckpoint() const { return _lastCkpt; }
+    /**
+     * Start from config.resumePath when it is set: restore that
+     * checkpoint and adopt the producing run's time offsets and
+     * checkpoint count. True when there is nothing to resume; false,
+     * with @p error naming the file, when it cannot be read or
+     * restored.
+     */
+    bool resume(std::string *error);
+    /** @} */
 
-    /** Carry run time across phases (recovery) or from a resume. */
-    void setTimeOffsets(double secOffset, double busyOffset);
+    /** @name Fail-stop recovery (the one rollback path)
+     * @{ */
 
-    /** Adopt the producing run's checkpoint count on resume. */
-    void setCheckpointsWritten(int n) { _checkpointsWritten = n; }
+    /**
+     * Roll back after a fail-stop fault. The caller has discarded
+     * every in-flight subnet; @p nowSeconds and @p busySeconds are
+     * the absolute (offset-inclusive) run totals at the crash, and
+     * @p reason names the fault for the log and the error.
+     *
+     * When the retry policy refuses another attempt, sets
+     * retriesExhausted(), fills @p error and returns false without
+     * touching the run. Otherwise charges the attempt: re-inits the
+     * session, lets the backend restartPhase(), resumes the clock at
+     * @p nowSeconds plus the modeled restart and backoff, restores
+     * the last drained checkpoint (subnet 0 without one), and counts
+     * the replayed subnets and the busy time lost since that
+     * checkpoint. Returns false with @p error set when the restore
+     * fails.
+     */
+    bool recover(double nowSeconds, double busySeconds,
+                 const std::string &reason, std::string *error);
+
+    bool retriesExhausted() const { return _retriesExhausted; }
+    int recoveries() const { return _recoveries; }
+    int subnetsReplayed() const { return _subnetsReplayed; }
+    /** Consecutive recoveries since the last completed subnet. */
+    int recoveryAttempt() const
+    {
+        return _policy.consecutiveFailures();
+    }
     /** @} */
 
     /**
@@ -209,9 +254,9 @@ class TrainingSession
      * losses, sampled subnets, store, trace, throughput, memory
      * plan figures, checkpoint accounting, the trailing-window final
      * loss, the convergence curve, the supernet hash, the causal
-     * audit, and the post-training search. @p totalSeconds and
-     * @p busyTotal are absolute run totals; the executor then fills
-     * in its own timing/cache/fault specifics.
+     * audit, the recovery counters, and the post-training search.
+     * @p totalSeconds and @p busyTotal are absolute run totals; the
+     * executor then fills in its own timing/cache/fault specifics.
      */
     RunResult collect(double totalSeconds, double busyTotal);
 
@@ -248,6 +293,7 @@ class TrainingSession
 
   private:
     bool compatible(const RunCheckpoint &ckpt) const;
+    void setTimeOffsets(double secOffset, double busyOffset);
 
     const SearchSpace &_space;
     const RuntimeConfig &_config;
@@ -288,6 +334,14 @@ class TrainingSession
     int _checkpointsWritten = 0;
     std::uint64_t _checkpointBytes = 0;
     double _checkpointSecondsTotal = 0.0;
+
+    // Recovery state, cumulative across phases like the totals above.
+    fault::RecoveryPolicy _policy;
+    bool _retriesExhausted = false;
+    int _recoveries = 0;
+    int _subnetsReplayed = 0;
+    double _recoverySecondsTotal = 0.0;
+    double _lostComputeSeconds = 0.0;
 };
 
 } // namespace naspipe

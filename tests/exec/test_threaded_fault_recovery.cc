@@ -139,6 +139,9 @@ TEST(ThreadedFaultRecovery, SameSeededPlanOnBothExecutors)
     EXPECT_EQ(threads.metrics.recoveries, sim.metrics.recoveries);
     EXPECT_EQ(threads.metrics.subnetsReplayed,
               sim.metrics.subnetsReplayed);
+    // One recovery policy: the same modeled restart + backoff charge.
+    EXPECT_EQ(threads.metrics.recoverySeconds,
+              sim.metrics.recoverySeconds);
 }
 
 TEST(ThreadedFaultRecovery, NoCheckpointRestartsFromZero)
@@ -212,18 +215,23 @@ TEST(ThreadedFaultRecovery, SurvivesMultipleFailStops)
 
 TEST(ThreadedFaultRecovery, RetriesExhaustedFailsTheRun)
 {
+    // One retry policy for both executors (TrainingSession::recover).
     SearchSpace space("tfr-exhaust", SpaceFamily::Nlp, 12, 4, 5);
     RuntimeConfig c = config(2, 12);
     c.batch = 16;
     c.ckptInterval = 4;
     c.recoveryMaxRetries = 0;  // refuse the first retry
     c.faults.push_back(crashAt(6, 1));
-    RunResult result = runTrainingThreaded(space, c);
-    EXPECT_TRUE(result.failed);
-    EXPECT_TRUE(result.retriesExhausted);
-    EXPECT_NE(result.error.find("retries exhausted"),
-              std::string::npos)
-        << result.error;
+    for (bool threaded : {false, true}) {
+        SCOPED_TRACE(threaded ? "threads" : "sim");
+        RunResult result = threaded ? runTrainingThreaded(space, c)
+                                    : runTraining(space, c);
+        EXPECT_TRUE(result.failed);
+        EXPECT_TRUE(result.retriesExhausted);
+        EXPECT_NE(result.error.find("retries exhausted"),
+                  std::string::npos)
+            << result.error;
+    }
 }
 
 TEST(ThreadedFaultRecovery, WatchdogIncidentFailsTheRun)

@@ -201,6 +201,12 @@ TEST(FaultRecovery, MultipleCrashesEachRecover)
     EXPECT_EQ(recovered.supernetHash, faultFree.supernetHash);
     EXPECT_EQ(recovered.metrics.faultsInjected, 2);
     EXPECT_EQ(recovered.metrics.recoveries, 2);
+    // Each recovery charges the modeled restart plus the retry
+    // policy's backoff; the run progressed between the crashes, so
+    // both were first attempts at the base backoff.
+    EXPECT_DOUBLE_EQ(recovered.metrics.recoverySeconds,
+                     2 * (faulty.recoverySeconds +
+                          faulty.recoveryBackoffSeconds));
 }
 
 TEST(FaultRecovery, SeededRandomPlanIsDeterministicAndSurvivable)

@@ -12,7 +12,7 @@
  * If an intentional numeric change moves a hash, recapture with:
  *   naspipe_cli --space S --gpus G --steps 32 --seed 7
  *               --executor threads [--precision fp16]
- * and update BOTH this table and the one in tools/naspipe_bench.cc.
+ * and update this table, the one golden grid of the repo.
  */
 
 #include <gtest/gtest.h>

@@ -4,13 +4,14 @@
  * core in isolation. The tests pin the injection-gate *ordering*
  * (budget, in-flight window, checkpoint drain barrier, backend veto,
  * feedback lag), the feedback-lag-exact score delivery, the drained
- * checkpoint cadence and restore/replay, and the admissible()/pump()
- * agreement contract the serve layer's one-subnet-per-slot admission
- * depends on.
+ * checkpoint cadence and restore/replay, the fail-stop rollback and
+ * its retry policy, and the admissible()/pump() agreement contract
+ * the serve layer's one-subnet-per-slot admission depends on.
  */
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "session/training_session.h"
@@ -35,9 +36,11 @@ class MockBackend : public ExecutionBackend
     {
         restored.push_back(id);
     }
+    void restartPhase() override { restarts++; }
 
     bool veto = false;
     mutable int canAdmitCalls = 0;
+    int restarts = 0;
     std::vector<SubnetId> admitted;
     std::vector<SubnetId> restored;
 };
@@ -255,6 +258,66 @@ TEST(TrainingSessionCore, RestoreReplaysWithoutReexecution)
     EXPECT_EQ(resumed.session.pump(), 4);
     EXPECT_EQ(resumed.backend.admitted,
               (std::vector<SubnetId>{4, 5, 6, 7}));
+}
+
+TEST(TrainingSessionCore, RecoverRollsBackToTheLastCheckpoint)
+{
+    SearchSpace space = makeSpaceByName("NLP.c1");
+    RuntimeConfig c = config(8, 16);
+    c.ckptInterval = 4;
+    Fixture f(space, c);
+    EXPECT_EQ(f.session.pump(), 4);
+    for (SubnetId id = 0; id < 3; id++)
+        f.complete(id);
+    ASSERT_TRUE(f.complete(3));
+    f.session.commitCheckpoint(f.session.buildCheckpoint(1.0, 0.5));
+    EXPECT_EQ(f.session.pump(), 4);
+    f.complete(4);
+    f.complete(5);
+
+    // Crash with 6 and 7 in flight (the executor dropped them): the
+    // backend rebuilds its phase before the checkpoint is restored,
+    // and the clock resumes after the modeled restart and backoff.
+    std::string error;
+    ASSERT_TRUE(f.session.recover(2.0, 0.9, "test crash", &error))
+        << error;
+    EXPECT_EQ(f.backend.restarts, 1);
+    EXPECT_EQ(f.backend.restored,
+              (std::vector<SubnetId>{0, 1, 2, 3}));
+    EXPECT_EQ(f.session.finished(), 4);
+    EXPECT_EQ(f.session.inflight(), 0);
+    EXPECT_EQ(f.session.recoveries(), 1);
+    EXPECT_EQ(f.session.subnetsReplayed(), 2);
+    EXPECT_EQ(f.session.recoveryAttempt(), 1);
+    EXPECT_DOUBLE_EQ(f.session.secOffset(),
+                     2.0 + c.recoverySeconds + c.recoveryBackoffSeconds);
+    EXPECT_DOUBLE_EQ(f.session.busyOffset(), 0.5);
+
+    // A completed subnet is progress: the next crash is again a
+    // first attempt.
+    EXPECT_EQ(f.session.pump(), 4);
+    f.complete(4);
+    EXPECT_EQ(f.session.recoveryAttempt(), 0);
+}
+
+TEST(TrainingSessionCore, RecoverStopsWhenRetriesAreExhausted)
+{
+    SearchSpace space = makeSpaceByName("NLP.c1");
+    RuntimeConfig c = config(8, 16);
+    c.recoveryMaxRetries = 0;
+    Fixture f(space, c);
+    EXPECT_EQ(f.session.pump(), 8);
+    f.complete(0);
+
+    std::string error;
+    EXPECT_FALSE(f.session.recover(1.0, 0.5, "test crash", &error));
+    EXPECT_TRUE(f.session.retriesExhausted());
+    EXPECT_NE(error.find("retries exhausted"), std::string::npos);
+    EXPECT_NE(error.find("test crash"), std::string::npos);
+    // Refused before anything rolled back.
+    EXPECT_EQ(f.backend.restarts, 0);
+    EXPECT_EQ(f.session.finished(), 1);
+    EXPECT_EQ(f.session.recoveries(), 0);
 }
 
 TEST(TrainingSessionCore, AdmissibleAgreesWithPumpOne)

@@ -1,10 +1,11 @@
 /**
  * @file
- * naspipe_cli argument-parsing and exit-code contract tests. Each
- * case launches the real binary (path injected by CMake as
- * NASPIPE_CLI_PATH) and checks the documented exit codes: 0 success,
- * 2 argument error / OOM, 3 run failure, 4 CSP verification failure,
- * 5 recovery retries exhausted.
+ * naspipe_cli and naspipe_serve argument-parsing and exit-code
+ * contract tests. Each case launches the real binary (paths injected
+ * by CMake as NASPIPE_CLI_PATH / NASPIPE_SERVE_PATH) and checks the
+ * documented exit codes: 0 success, 2 argument error / OOM, 3 run
+ * failure, 4 CSP verification failure (naspipe_cli only), 5 recovery
+ * retries exhausted.
  */
 
 #include <gtest/gtest.h>
@@ -21,10 +22,9 @@ struct CliResult {
 };
 
 CliResult
-runCli(const std::string &args)
+runBinary(const char *binary, const std::string &args)
 {
-    std::string command =
-        std::string(NASPIPE_CLI_PATH) + " " + args + " 2>&1";
+    std::string command = std::string(binary) + " " + args + " 2>&1";
     CliResult result;
     FILE *pipe = popen(command.c_str(), "r");
     EXPECT_NE(pipe, nullptr) << command;
@@ -36,6 +36,18 @@ runCli(const std::string &args)
     int status = pclose(pipe);
     result.exitCode = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
     return result;
+}
+
+CliResult
+runCli(const std::string &args)
+{
+    return runBinary(NASPIPE_CLI_PATH, args);
+}
+
+CliResult
+runServe(const std::string &args)
+{
+    return runBinary(NASPIPE_SERVE_PATH, args);
 }
 
 } // namespace
@@ -151,17 +163,23 @@ TEST(CliArgs, ThreadsCrashRecoversAndVerifiesCspExitsZero)
     EXPECT_NE(r.output.find("1 recoveries"), std::string::npos);
 }
 
-TEST(CliArgs, ThreadsRetriesExhaustedExitsFive)
+TEST(CliArgs, RetriesExhaustedExitsFiveOnBothExecutors)
 {
     // --recovery-retries 0 refuses the first retry, so the first
-    // fail-stop fault is terminal: the documented exit code 5.
-    CliResult r =
-        runCli("--space CV.c1 --steps 12 --gpus 2 --quiet "
-               "--executor threads --ckpt-interval 4 "
-               "--recovery-retries 0 --inject-fault crash@6,stage=1");
-    EXPECT_EQ(r.exitCode, 5) << r.output;
-    EXPECT_NE(r.output.find("recovery retries exhausted"),
-              std::string::npos);
+    // fail-stop fault is terminal: the documented exit code 5, from
+    // the one recovery policy both executors share.
+    for (const char *executor : {"sim", "threads"}) {
+        SCOPED_TRACE(executor);
+        CliResult r = runCli(
+            std::string("--space CV.c1 --steps 16 --gpus 2 --quiet "
+                        "--ckpt-interval 4 --recovery-retries 0 "
+                        "--inject-fault crash@9 --executor ") +
+            executor);
+        EXPECT_EQ(r.exitCode, 5) << r.output;
+        EXPECT_NE(r.output.find("recovery retries exhausted"),
+                  std::string::npos)
+            << r.output;
+    }
 }
 
 TEST(CliArgs, ThreadsCorruptResumeCheckpointExitsThree)
@@ -212,4 +230,38 @@ TEST(CliArgs, ThreadsMissingResumeCheckpointExitsThree)
                          "--resume /nonexistent/run.ckpt");
     EXPECT_EQ(r.exitCode, 3);
     EXPECT_NE(r.output.find("error:"), std::string::npos);
+}
+
+TEST(ServeArgs, UnknownArgumentExitsTwo)
+{
+    CliResult r = runServe("--no-such-flag");
+    EXPECT_EQ(r.exitCode, 2);
+    EXPECT_NE(r.output.find("unknown argument"), std::string::npos);
+    // The unused cadence flag is gone, not silently accepted.
+    EXPECT_EQ(runServe("--watchdog-interval-ms 5 "
+                       "--job space=CV.c1,steps=4")
+                  .exitCode,
+              2);
+}
+
+TEST(ServeArgs, OneJobExitsZero)
+{
+    CliResult r =
+        runServe("--gpus 2 --job space=CV.c1,seed=3,steps=6 --json");
+    EXPECT_EQ(r.exitCode, 0) << r.output;
+    EXPECT_NE(r.output.find("\"state\":\"done\""), std::string::npos)
+        << r.output;
+}
+
+TEST(ServeArgs, RetriesExhaustedExitsFive)
+{
+    // retries=0 refuses the first retry: the job fails at its first
+    // fail-stop and the service reports exit code 5.
+    CliResult r = runServe(
+        "--gpus 2 --json "
+        "--job space=NLP.c1,seed=11,steps=12,ckpt=4,fault=crash@6,"
+        "retries=0");
+    EXPECT_EQ(r.exitCode, 5) << r.output;
+    EXPECT_NE(r.output.find("retries exhausted"), std::string::npos)
+        << r.output;
 }

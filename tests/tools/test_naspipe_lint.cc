@@ -226,7 +226,7 @@ TEST(LintRules, RelaxedMemoryOrderFiresRepoWideUnderSrc)
     EXPECT_EQ(rulesOf(scanSource("src/serve/pool.cc", src)),
               std::vector<std::string>{"relaxed-memory-order"});
     // Non-src trees (tools, tests) stay out of scope.
-    EXPECT_TRUE(scanSource("tools/naspipe_bench.cc", src).empty());
+    EXPECT_TRUE(scanSource("tools/naspipe_serve.cc", src).empty());
 }
 
 TEST(LintRules, DetSuppressionFiresEvenInComments)

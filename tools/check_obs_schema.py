@@ -4,21 +4,11 @@
 Usage: check_obs_schema.py FILE [FILE ...]
 
 Each file must be a JSON document produced by naspipe_cli
-(--trace-out / --metrics-out) or naspipe_bench. The document kind is
-auto-detected from its schema tag:
+(--trace-out / --metrics-out) or naspipe_serve (--metrics-out). The
+document kind is auto-detected from its schema tag:
 
   naspipe-trace/1    Chrome trace-event export (otherData.schema)
   naspipe-metrics/1  unified metrics registry export
-  naspipe-bench/1    committed perf trajectory (BENCH_<pr>.json)
-  naspipe-bench/2    as /1 plus a required `recovery` section (the
-                     threaded crash→recover→bitwise-verify record)
-  naspipe-bench/3    as /2 plus a required `serve` section (the
-                     multi-tenant shared-pool record: job count,
-                     aggregate throughput, per-job bitwise gate)
-  naspipe-bench/4    as /3 plus a required `numeric` section (the
-                     kernel-layer record: sequential-vs-tree
-                     reduction timings and the per-precision-mode
-                     golden weight-hash gate)
 
 Exits 0 when every file validates, 1 otherwise, printing one line per
 problem. No third-party dependencies — CI runs this on a bare python3.
@@ -29,8 +19,6 @@ import sys
 
 TRACE_SCHEMA = "naspipe-trace/1"
 METRICS_SCHEMA = "naspipe-metrics/1"
-BENCH_SCHEMAS = ("naspipe-bench/1", "naspipe-bench/2",
-                 "naspipe-bench/3", "naspipe-bench/4")
 
 
 def check_trace(doc, err):
@@ -115,124 +103,6 @@ def check_metrics(doc, err):
         check_histogram(name, hist, err)
 
 
-def check_recovery(recovery, err):
-    if not isinstance(recovery, dict):
-        err("recovery section missing")
-        return
-    for key in ("workers", "ckpt_interval", "crash_step",
-                "recoveries", "replayed", "recovery_s",
-                "bitwise_match"):
-        if key not in recovery:
-            err("recovery.%s missing" % key)
-    if not recovery.get("bitwise_match"):
-        err("recovery: crash-recovered weights diverge from the "
-            "fault-free run")
-    if recovery.get("recoveries", 0) < 1:
-        err("recovery: no recovery happened (crash never fired?)")
-    if recovery.get("replayed", -1) < 0:
-        err("recovery: negative replayed count")
-
-
-def check_serve(serve, err):
-    if not isinstance(serve, dict):
-        err("serve section missing")
-        return
-    for key in ("stages", "jobs", "wall_s", "subnets_per_s",
-                "per_job"):
-        if key not in serve:
-            err("serve.%s missing" % key)
-    if serve.get("jobs", 0) < 1:
-        err("serve: no jobs ran")
-    per_job = serve.get("per_job")
-    if not isinstance(per_job, list) or not per_job:
-        err("serve.per_job missing or empty")
-        return
-    if len(per_job) != serve.get("jobs"):
-        err("serve: jobs != len(per_job)")
-    for entry in per_job:
-        for key in ("job", "space", "seed", "steps", "hash",
-                    "bitwise_match"):
-            if key not in entry:
-                err("serve job %s: %s missing"
-                    % (entry.get("job"), key))
-        if not entry.get("bitwise_match"):
-            err("serve job %s (%s): shared-pool weights diverge "
-                "from the solo run"
-                % (entry.get("job"), entry.get("space")))
-
-
-def check_numeric(numeric, err):
-    if not isinstance(numeric, dict):
-        err("numeric section missing")
-        return
-    reductions = numeric.get("reductions")
-    if not isinstance(reductions, list) or not reductions:
-        err("numeric.reductions missing or empty")
-    else:
-        for entry in reductions:
-            for key in ("n", "seq_us", "tree_us", "speedup"):
-                if key not in entry:
-                    err("numeric reduction n=%s: %s missing"
-                        % (entry.get("n"), key))
-    goldens = numeric.get("goldens")
-    if not isinstance(goldens, list) or not goldens:
-        err("numeric.goldens missing or empty")
-        return
-    modes = set()
-    for entry in goldens:
-        for key in ("space", "mode", "workers", "steps", "hash",
-                    "sim_threads_match", "golden_match"):
-            if key not in entry:
-                err("numeric golden %s/%s: %s missing"
-                    % (entry.get("space"), entry.get("mode"), key))
-        modes.add(entry.get("mode"))
-        if not entry.get("sim_threads_match"):
-            err("numeric golden %s/%s: sim and threads hashes "
-                "DIVERGE" % (entry.get("space"), entry.get("mode")))
-        if not entry.get("golden_match"):
-            err("numeric golden %s/%s: weight hash diverges from "
-                "the committed golden"
-                % (entry.get("space"), entry.get("mode")))
-    for mode in ("fp32", "fp16_rne"):
-        if mode not in modes:
-            err("numeric.goldens: no %s entry" % mode)
-
-
-def check_bench(doc, err):
-    if doc.get("schema") not in BENCH_SCHEMAS:
-        err("schema not in %s" % (BENCH_SCHEMAS,))
-    if not isinstance(doc.get("pr"), int):
-        err("pr missing")
-    micro = doc.get("micro")
-    if not isinstance(micro, dict) or not micro:
-        err("micro section missing or empty")
-    else:
-        for name, entry in micro.items():
-            if entry.get("us_per_iter", -1) < 0 or \
-                    entry.get("iterations", 0) < 1:
-                err("micro %s: bad timing entry" % name)
-    scaling = doc.get("scaling")
-    if not isinstance(scaling, list) or not scaling:
-        err("scaling section missing or empty")
-    else:
-        for entry in scaling:
-            if not entry.get("bitwise_match"):
-                err("scaling %s workers: sim/threads hash MISMATCH"
-                    % entry.get("workers"))
-    if doc.get("schema") in ("naspipe-bench/2", "naspipe-bench/3",
-                             "naspipe-bench/4"):
-        check_recovery(doc.get("recovery"), err)
-    if doc.get("schema") in ("naspipe-bench/3", "naspipe-bench/4"):
-        check_serve(doc.get("serve"), err)
-    if doc.get("schema") == "naspipe-bench/4":
-        check_numeric(doc.get("numeric"), err)
-    stable = doc.get("stable", {})
-    for key in ("supernet_hash", "final_loss",
-                "logical_makespan_ticks", "logical_span_count"):
-        if key not in stable:
-            err("stable.%s missing" % key)
-
-
 def check_file(path):
     problems = []
 
@@ -251,8 +121,6 @@ def check_file(path):
         check_trace(doc, err)
     elif schema == METRICS_SCHEMA:
         check_metrics(doc, err)
-    elif schema in BENCH_SCHEMAS:
-        check_bench(doc, err)
     else:
         err("unrecognized schema tag %r" % schema)
     return problems

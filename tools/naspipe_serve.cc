@@ -5,8 +5,8 @@
  *
  * Usage:
  *   naspipe_serve [--gpus N] [--job SPEC]... [--jobs FILE]
- *                 [--max-inflight N] [--watchdog-interval-ms N]
- *                 [--metrics-out FILE.json] [--json] [--quiet]
+ *                 [--max-inflight N] [--metrics-out FILE.json]
+ *                 [--json] [--quiet]
  *
  * Each --job flag (repeatable) describes one search as
  * comma-separated key=value pairs:
@@ -31,14 +31,12 @@
  * registry (job/<id>/...; logical mode, byte-identical across
  * reruns of the same specs).
  *
- * --watchdog-interval-ms sets the scan cadence of the pool's
- * wall-deadline watchdog. This tool does not arm that deadline
- * (ServiceConfig::wallDeadline), so the pool runs no watchdog and
- * the value is accepted but unused.
+ * The pool runs no wall-deadline watchdog here
+ * (ServiceConfig::wallDeadline stays off), so no pool incident can
+ * fail the service as a whole.
  *
  * Exit codes: 0 all jobs done, 2 bad arguments, 3 >= 1 job failed,
- * 5 >= 1 job exhausted its recovery retries, 6 service failure
- * (shared pool incident — every live job lost).
+ * 5 >= 1 job exhausted its recovery retries.
  */
 
 #include <cstdio>
@@ -63,15 +61,15 @@ usage(const char *argv0)
 {
     std::printf(
         "usage: %s [--gpus N] [--job SPEC]... [--jobs FILE]\n"
-        "          [--max-inflight N] [--watchdog-interval-ms N]\n"
-        "          [--metrics-out FILE.json] [--json] [--quiet]\n"
+        "          [--max-inflight N] [--metrics-out FILE.json]\n"
+        "          [--json] [--quiet]\n"
         "job SPEC: comma-separated key=value pairs with keys\n"
         "          name space seed steps priority ckpt ckpt-path\n"
         "          precision (fp32|fp16)\n"
         "          retries window fault (KIND@STEP, KIND crash|drop,\n"
         "          repeatable)\n"
         "exit:     0 all done, 2 bad args, 3 job failed,\n"
-        "          5 recovery retries exhausted, 6 service failure\n",
+        "          5 recovery retries exhausted\n",
         argv0);
 }
 
@@ -122,7 +120,6 @@ main(int argc, char **argv)
 {
     int gpus = 4;
     int maxInflight = 0;
-    int watchdogIntervalMs = 2;
     bool json = false;
     bool quiet = false;
     std::string metricsOut;
@@ -152,8 +149,6 @@ main(int argc, char **argv)
             gpus = static_cast<int>(intValue(1, 512));
         } else if (arg == "--max-inflight") {
             maxInflight = static_cast<int>(intValue(0, 100000));
-        } else if (arg == "--watchdog-interval-ms") {
-            watchdogIntervalMs = static_cast<int>(intValue(1, 60000));
         } else if (arg == "--job") {
             serve::JobSpec spec;
             std::string why;
@@ -201,7 +196,6 @@ main(int argc, char **argv)
     serve::ServiceConfig config;
     config.numStages = gpus;
     config.maxTotalInflight = maxInflight;
-    config.watchdogPollMs = watchdogIntervalMs;
     serve::SearchService service(config);
 
     std::string why;
@@ -239,10 +233,6 @@ main(int argc, char **argv)
                           std::to_string(s.recoveries), last});
         }
         std::printf("%s", table.render().c_str());
-        if (outcome == serve::SearchService::ServiceFailed) {
-            std::printf("service failure: %s\n",
-                        service.serviceError().c_str());
-        }
     }
 
     if (!metricsOut.empty()) {
