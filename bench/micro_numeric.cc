@@ -76,8 +76,9 @@ BM_EvaluateSubnet(benchmark::State &state)
     NumericExecutor exec(store, config);
     UniformSampler sampler(space, 13);
     Subnet sn = sampler.next();
+    const EvalSet eval = exec.makeEvalSet(42);
     for (auto _ : state)
-        benchmark::DoNotOptimize(exec.evaluate(sn, 42));
+        benchmark::DoNotOptimize(exec.evaluate(sn, eval));
 }
 BENCHMARK(BM_EvaluateSubnet);
 
@@ -117,6 +118,7 @@ BM_ReduceSequential(benchmark::State &state)
     }
 }
 BENCHMARK(BM_ReduceSequential)
+    ->Arg(64)
     ->Arg(1024)
     ->Arg(4096)
     ->Arg(16384)
@@ -134,6 +136,7 @@ BM_ReduceTree(benchmark::State &state)
         benchmark::DoNotOptimize(kernels::treeSum(a.data(), n));
 }
 BENCHMARK(BM_ReduceTree)
+    ->Arg(64)
     ->Arg(1024)
     ->Arg(4096)
     ->Arg(16384)

@@ -160,6 +160,13 @@ philoxRound(std::array<std::uint32_t, 4> &ctr, std::uint32_t k0,
     ctr = {hi1 ^ ctr[1] ^ k0, lo1, hi0 ^ ctr[3] ^ k1, lo0};
 }
 
+/** 24 high bits of a Philox word as a float in [0,1). */
+inline float
+laneFloat(std::uint32_t word)
+{
+    return static_cast<float>(word >> 8) * 0x1.0p-24f;
+}
+
 } // namespace
 
 Philox4x32::Block
@@ -191,7 +198,15 @@ float
 Philox4x32::uniformFloat(std::uint64_t counter, unsigned lane) const
 {
     NASPIPE_ASSERT(lane < 4, "Philox lane out of range");
-    return static_cast<float>(block(counter)[lane] >> 8) * 0x1.0p-24f;
+    return laneFloat(block(counter)[lane]);
+}
+
+std::array<float, 4>
+Philox4x32::uniformFloats(std::uint64_t counter) const
+{
+    Block words = block(counter);
+    return {laneFloat(words[0]), laneFloat(words[1]), laneFloat(words[2]),
+            laneFloat(words[3])};
 }
 
 std::uint64_t

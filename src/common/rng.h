@@ -111,6 +111,12 @@ class Philox4x32
     /** Uniform float in [0,1) derived from (counter, lane). */
     float uniformFloat(std::uint64_t counter, unsigned lane = 0) const;
 
+    /**
+     * All four lane floats of one block: element k equals
+     * uniformFloat(counter, k), at the cost of a single block().
+     */
+    std::array<float, 4> uniformFloats(std::uint64_t counter) const;
+
   private:
     std::uint64_t _key;
 };

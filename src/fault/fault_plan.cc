@@ -1,6 +1,7 @@
 #include "fault/fault_plan.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdlib>
 #include <set>
 #include <sstream>
@@ -191,9 +192,9 @@ FaultInjector::randomPlan(std::uint64_t seed, int count, int maxStep,
         spec.kind = static_cast<FaultKind>(rng.word(counter + 1) % 4);
         spec.stage = static_cast<int>(
             rng.word(counter + 2) % static_cast<unsigned>(numStages));
-        spec.durationMs =
-            10.0 + 90.0 * rng.uniformFloat(counter + 3);
-        spec.factor = 2.0 + 6.0 * rng.uniformFloat(counter + 3, 1);
+        std::array<float, 4> u = rng.uniformFloats(counter + 3);
+        spec.durationMs = 10.0 + 90.0 * u[0];
+        spec.factor = 2.0 + 6.0 * u[1];
         counter += 4;
         if (!steps.insert(step).second)
             continue;  // one fault per step keeps triggers unambiguous

@@ -347,7 +347,7 @@ TrainingSession::restore(const RunCheckpoint &ckpt)
     }
     {
         std::istringstream in(ckpt.accessLogBytes);
-        if (!_store->accessLog().loadFrom(in)) {
+        if (!_store->accessLog().loadFrom(in, _space)) {
             warn("run checkpoint: access log unreadable");
             return false;
         }

@@ -1,5 +1,6 @@
 #include "tensor/layer_math.h"
 
+#include <array>
 #include <cmath>
 
 #include "common/logging.h"
@@ -59,11 +60,10 @@ initLayerParams(LayerParams &params, std::uint64_t seed,
         (static_cast<std::uint64_t>(block) << 40) |
         (static_cast<std::uint64_t>(choice) << 20);
     for (std::size_t i = 0; i < kLayerDim; i++) {
+        std::array<float, 4> u = philox.uniformFloats(base + i);
         // Small symmetric init in (-0.5, 0.5).
-        params.weight[i] =
-            philox.uniformFloat(base + i, 0) - 0.5f;
-        params.bias[i] =
-            0.1f * (philox.uniformFloat(base + i, 1) - 0.5f);
+        params.weight[i] = u[0] - 0.5f;
+        params.bias[i] = 0.1f * (u[1] - 0.5f);
     }
 }
 

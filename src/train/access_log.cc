@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/logging.h"
+#include "supernet/search_space.h"
 
 namespace naspipe {
 
@@ -25,6 +26,17 @@ readU64(std::istream &in, std::uint64_t &value)
 
 } // namespace
 
+std::vector<AccessRecord> &
+AccessLog::history(const LayerId &layer)
+{
+    if (layer.block >= _history.size())
+        _history.resize(static_cast<std::size_t>(layer.block) + 1);
+    std::vector<std::vector<AccessRecord>> &row = _history[layer.block];
+    if (layer.choice >= row.size())
+        row.resize(static_cast<std::size_t>(layer.choice) + 1);
+    return row[layer.choice];
+}
+
 void
 AccessLog::record(const LayerId &layer, SubnetId subnet,
                   AccessKind kind, int stage)
@@ -32,7 +44,7 @@ AccessLog::record(const LayerId &layer, SubnetId subnet,
     if (!_enabled)
         return;
     std::lock_guard<RankedMutex> lock(_recordMu);
-    _history[layer.key()].push_back(
+    history(layer).push_back(
         AccessRecord{_nextOrder++, subnet, kind, stage});
 }
 
@@ -40,8 +52,11 @@ const std::vector<AccessRecord> &
 AccessLog::layerHistory(const LayerId &layer) const
 {
     static const std::vector<AccessRecord> kEmpty;
-    auto it = _history.find(layer.key());
-    return it == _history.end() ? kEmpty : it->second;
+    if (layer.block >= _history.size() ||
+        layer.choice >= _history[layer.block].size()) {
+        return kEmpty;
+    }
+    return _history[layer.block][layer.choice];
 }
 
 std::string
@@ -86,12 +101,13 @@ std::vector<LayerId>
 AccessLog::touchedLayers() const
 {
     std::vector<LayerId> out;
-    out.reserve(_history.size());
-    for (const auto &[key, records] : _history) {
-        (void)records;
-        out.push_back(
-            LayerId{static_cast<std::uint32_t>(key >> 32),
-                    static_cast<std::uint32_t>(key & 0xffffffffULL)});
+    for (std::size_t b = 0; b < _history.size(); b++) {
+        for (std::size_t c = 0; c < _history[b].size(); c++) {
+            if (!_history[b][c].empty()) {
+                out.push_back(LayerId{static_cast<std::uint32_t>(b),
+                                      static_cast<std::uint32_t>(c)});
+            }
+        }
     }
     return out;
 }
@@ -99,10 +115,7 @@ AccessLog::touchedLayers() const
 bool
 AccessLog::allSequentiallyEquivalent() const
 {
-    for (const auto &[key, records] : _history) {
-        (void)records;
-        LayerId layer{static_cast<std::uint32_t>(key >> 32),
-                      static_cast<std::uint32_t>(key & 0xffffffffULL)};
+    for (const LayerId &layer : touchedLayers()) {
         if (!sequentiallyEquivalent(layer))
             return false;
     }
@@ -112,10 +125,12 @@ AccessLog::allSequentiallyEquivalent() const
 void
 AccessLog::saveTo(std::ostream &out) const
 {
+    const std::vector<LayerId> layers = touchedLayers();
     writeU64(out, _nextOrder);
-    writeU64(out, _history.size());
-    for (const auto &[key, records] : _history) {
-        writeU64(out, key);
+    writeU64(out, layers.size());
+    for (const LayerId &layer : layers) {
+        const std::vector<AccessRecord> &records = layerHistory(layer);
+        writeU64(out, layer.key());
         writeU64(out, records.size());
         for (const auto &rec : records) {
             writeU64(out, rec.order);
@@ -127,26 +142,35 @@ AccessLog::saveTo(std::ostream &out) const
 }
 
 bool
-AccessLog::loadFrom(std::istream &in)
+AccessLog::loadFrom(std::istream &in, const SearchSpace &space)
 {
     clear();
     std::uint64_t nextOrder = 0;
     std::uint64_t numLayers = 0;
     if (!readU64(in, nextOrder) || !readU64(in, numLayers))
         return false;
-    std::map<std::uint64_t, std::vector<AccessRecord>> history;
+    AccessLog loaded;
     std::uint64_t total = 0;
     for (std::uint64_t l = 0; l < numLayers; l++) {
         std::uint64_t key = 0;
         std::uint64_t count = 0;
         if (!readU64(in, key) || !readU64(in, count))
             return false;
+        LayerId layer{static_cast<std::uint32_t>(key >> 32),
+                      static_cast<std::uint32_t>(key & 0xffffffffULL)};
+        // saveTo() writes each touched layer once, none empty.
+        if (static_cast<int>(layer.block) >= space.numBlocks() ||
+            static_cast<int>(layer.choice) >= space.choicesPerBlock() ||
+            count == 0 || !loaded.layerHistory(layer).empty()) {
+            return false;
+        }
         // Every record carries a distinct order < nextOrder, so a
         // count exceeding it can only come from a corrupted stream.
         if (count > nextOrder || total + count > nextOrder)
             return false;
+        // No reserve(count): count comes from the stream, so the
+        // vector grows only as records actually arrive.
         std::vector<AccessRecord> records;
-        records.reserve(static_cast<std::size_t>(count));
         for (std::uint64_t r = 0; r < count; r++) {
             std::uint64_t order = 0, subnet = 0, kind = 0;
             if (!readU64(in, order) || !readU64(in, subnet) ||
@@ -162,9 +186,9 @@ AccessLog::loadFrom(std::istream &in)
                 kind ? AccessKind::Write : AccessKind::Read});
         }
         total += count;
-        history.emplace(key, std::move(records));
+        loaded.history(layer) = std::move(records);
     }
-    _history = std::move(history);
+    _history = std::move(loaded._history);
     _nextOrder = nextOrder;
     return true;
 }

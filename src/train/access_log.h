@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <map>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -26,6 +25,8 @@
 #include "supernet/subnet.h"
 
 namespace naspipe {
+
+class SearchSpace;
 
 /** Kind of parameter access. */
 enum class AccessKind {
@@ -97,15 +98,20 @@ class AccessLog
     void saveTo(std::ostream &out) const;
 
     /**
-     * Replace this log's contents with a stream written by saveTo().
-     * Returns false (leaving the log cleared) on truncated or
-     * malformed input; never aborts the process.
+     * Replace this log's contents with a stream written by saveTo()
+     * for a store over @p space. Returns false (leaving the log
+     * cleared) on truncated or malformed input, including a layer
+     * outside @p space, a layer listed twice or a layer without
+     * records; never aborts the process.
      */
-    bool loadFrom(std::istream &in);
+    bool loadFrom(std::istream &in, const SearchSpace &space);
 
     void clear();
 
   private:
+    /** The history of @p layer, growing the table to reach it. */
+    std::vector<AccessRecord> &history(const LayerId &layer);
+
     bool _enabled = true;
     /// record() may be called from concurrent stage workers (the
     /// threaded executor); everything else is single-threaded —
@@ -113,7 +119,10 @@ class AccessLog
     /// the workers are joined.
     RankedMutex _recordMu{LockRank::TrainAccessLog};
     std::uint64_t _nextOrder = 0;
-    std::map<std::uint64_t, std::vector<AccessRecord>> _history;
+    /// _history[block][choice], grown on demand so record() finds a
+    /// layer by two indexings; an empty history is an untouched
+    /// layer. Nested iteration visits ascending LayerId::key().
+    std::vector<std::vector<std::vector<AccessRecord>>> _history;
 };
 
 } // namespace naspipe

@@ -108,8 +108,9 @@ searchBestSubnet(NumericExecutor &executor,
     SearchResult out;
     out.allEvalLosses.reserve(candidates.size());
     bool haveBest = false;
+    const EvalSet eval = executor.makeEvalSet(evalSeed);
     for (const Subnet &candidate : candidates) {
-        float loss = executor.evaluate(candidate, evalSeed);
+        float loss = executor.evaluate(candidate, eval);
         out.allEvalLosses.push_back(loss);
         bool better =
             !haveBest || loss < out.bestEvalLoss ||

@@ -45,13 +45,20 @@ effectiveSgd(const NumericExecutor::Config &config,
 NumericExecutor::NumericExecutor(ParameterStore &store,
                                  const Config &config)
     : _store(store), _config(config),
-      _optimizer(effectiveSgd(config, store.space()))
+      _optimizer(effectiveSgd(config, store.space())),
+      _gradNoise(deriveSeed(config.dataSeed, "grad-noise"))
 {
     NASPIPE_ASSERT(config.batch >= 1, "batch must be >= 1");
     NASPIPE_ASSERT(config.gradNoise >= 0.0,
                    "gradient noise must be non-negative");
     NASPIPE_ASSERT(config.precision == store.precision(),
                    "executor/store precision mismatch");
+    Philox4x32 teacher(deriveSeed(config.dataSeed, "teacher"));
+    for (std::size_t i = 0; i < kLayerDim; i++) {
+        std::array<float, 4> u = teacher.uniformFloats(i);
+        _teacherA[i] = 0.5f + u[0];  // (0.5, 1.5)
+        _teacherB[i] = u[1] - 0.5f;  // (-0.5, 0.5)
+    }
 }
 
 void
@@ -65,8 +72,6 @@ NumericExecutor::fillDigest(TensorView out, SubnetId id,
         out[i] = 2.0f * philox.uniformFloat(base + i) - 1.0f;
 }
 
-namespace {
-
 /**
  * The fixed "teacher": targets are a deterministic elementwise map
  * of the input, shared across every training step. All subnets
@@ -75,18 +80,12 @@ namespace {
  * converges instead of chasing per-step random targets.
  */
 void
-fillTeacherTarget(TensorView out, ConstTensorView input,
-                  std::uint64_t dataSeed)
+NumericExecutor::fillTeacherTarget(TensorView out,
+                                   ConstTensorView input) const
 {
-    Philox4x32 philox(deriveSeed(dataSeed, "teacher"));
-    for (std::size_t i = 0; i < kLayerDim; i++) {
-        float a = 0.5f + philox.uniformFloat(i, 0);         // (0.5,1.5)
-        float b = philox.uniformFloat(i, 1) - 0.5f;         // (-.5,.5)
-        out[i] = std::tanh(a * input[i] + b);
-    }
+    for (std::size_t i = 0; i < kLayerDim; i++)
+        out[i] = std::tanh(_teacherA[i] * input[i] + _teacherB[i]);
 }
-
-} // namespace
 
 void
 NumericExecutor::beginSubnet(const Subnet &subnet)
@@ -109,7 +108,7 @@ NumericExecutor::beginSubnet(const Subnet &subnet)
                                     ctx.arena.allocVector(kLayerDim));
     fillDigest(ctx.act[0], subnet.id(), "input", 0);
     quantizeStored(ctx.act[0]);
-    fillTeacherTarget(ctx.target, ctx.act[0], _config.dataSeed);
+    fillTeacherTarget(ctx.target, ctx.act[0]);
     quantizeStored(ctx.target);
     ctx.bwdProgress = subnet.size() - 1;
     std::unique_lock<RankedSharedMutex> lock(_ctxMu);
@@ -192,21 +191,15 @@ NumericExecutor::applyUpdate(const Subnet &subnet, int block,
         float scale = static_cast<float>(
             _config.gradNoise /
             std::sqrt(static_cast<double>(_config.batch)));
-        Philox4x32 philox(deriveSeed(_config.dataSeed, "grad-noise"));
         std::uint64_t base =
             (static_cast<std::uint64_t>(subnet.id()) << 24) ^
             (static_cast<std::uint64_t>(block) << 12);
         float noisyW[kLayerDim];
         float noisyB[kLayerDim];
         for (std::size_t i = 0; i < kLayerDim; i++) {
-            noisyW[i] =
-                gradWeight[i] +
-                scale *
-                    (2.0f * philox.uniformFloat(base + i, 0) - 1.0f);
-            noisyB[i] =
-                gradBias[i] +
-                scale *
-                    (2.0f * philox.uniformFloat(base + i, 1) - 1.0f);
+            std::array<float, 4> u = _gradNoise.uniformFloats(base + i);
+            noisyW[i] = gradWeight[i] + scale * (2.0f * u[0] - 1.0f);
+            noisyB[i] = gradBias[i] + scale * (2.0f * u[1] - 1.0f);
         }
         _optimizer.stepView(params.weight, params.bias,
                             ConstTensorView(noisyW, kLayerDim),
@@ -324,39 +317,57 @@ NumericExecutor::trainSequential(const Subnet &subnet)
     return finishSubnet(subnet);
 }
 
-float
-NumericExecutor::evaluate(const Subnet &subnet, std::uint64_t evalSeed,
-                          int evalBatches)
+EvalSet
+NumericExecutor::makeEvalSet(std::uint64_t evalSeed,
+                             int evalBatches) const
 {
     NASPIPE_ASSERT(evalBatches > 0, "need >= 1 eval batch");
     Philox4x32 philox(deriveSeed(evalSeed, "eval"));
-    std::vector<float> losses(static_cast<std::size_t>(evalBatches));
-    Tensor act(kLayerDim);
-    Tensor next(kLayerDim);
-    Tensor target(kLayerDim);
+    EvalSet eval;
     for (int e = 0; e < evalBatches; e++) {
         std::uint64_t base = static_cast<std::uint64_t>(e) * 2 *
                              kLayerDim;
+        Tensor input(kLayerDim);
         for (std::size_t i = 0; i < kLayerDim; i++)
-            act[i] = 2.0f * philox.uniformFloat(base + i) - 1.0f;
-        quantizeStored(act);
+            input[i] = 2.0f * philox.uniformFloat(base + i) - 1.0f;
+        quantizeStored(input);
         // Held-out inputs, same teacher: a real generalization probe.
-        fillTeacherTarget(target, act, _config.dataSeed);
+        Tensor target(kLayerDim);
+        fillTeacherTarget(target, input);
         quantizeStored(target);
+        eval.inputs.push_back(std::move(input));
+        eval.targets.push_back(std::move(target));
+    }
+    return eval;
+}
+
+float
+NumericExecutor::evaluate(const Subnet &subnet, const EvalSet &eval)
+{
+    NASPIPE_ASSERT(!eval.inputs.empty() &&
+                       eval.inputs.size() == eval.targets.size(),
+                   "need >= 1 eval batch with a target each");
+    std::vector<float> losses(eval.inputs.size());
+    float actBuf[kLayerDim];
+    float nextBuf[kLayerDim];
+    TensorView act(actBuf, kLayerDim);
+    TensorView next(nextBuf, kLayerDim);
+    for (std::size_t e = 0; e < eval.inputs.size(); e++) {
+        act.copyFrom(eval.inputs[e]);
         for (int b = 0; b < subnet.size(); b++) {
             if (!_store.space().parameterized(b, subnet.choice(b)))
                 continue;  // identity passthrough
             layerForward(_store.peek(subnet.layer(b)), act, next);
             quantizeStored(next);
-            std::swap(act.data(), next.data());
+            std::swap(act, next);
         }
-        losses[static_cast<std::size_t>(e)] = kernels::quantize(
-            _config.precision, mseLoss(act, target));
+        losses[e] = kernels::quantize(_config.precision,
+                                      mseLoss(act, eval.targets[e]));
     }
     // Batch losses combine in the same fixed tree as every other
     // reduction; no raw float accumulation outside the kernel layer.
     return kernels::treeSum(losses.data(), losses.size()) /
-           static_cast<float>(evalBatches);
+           static_cast<float>(losses.size());
 }
 
 double

@@ -34,12 +34,14 @@
 #ifndef NASPIPE_TRAIN_NUMERIC_EXECUTOR_H
 #define NASPIPE_TRAIN_NUMERIC_EXECUTOR_H
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <shared_mutex>
 #include <vector>
 
 #include "common/lock_rank.h"
+#include "common/rng.h"
 #include "memory/arena.h"
 #include "tensor/kernels/precision.h"
 #include "tensor/sgd.h"
@@ -56,6 +58,17 @@ enum class UpdateSemantics {
 
 /** Printable name. */
 const char *updateSemanticsName(UpdateSemantics semantics);
+
+/**
+ * Held-out evaluation data: one input digest and its teacher target
+ * per batch, already rounded to the storage precision. It depends
+ * only on the eval seed and the executor's data seed, so a search
+ * builds it once and scores every candidate against it.
+ */
+struct EvalSet {
+    std::vector<Tensor> inputs;
+    std::vector<Tensor> targets;
+};
 
 /**
  * Numeric executor over one parameter store.
@@ -139,12 +152,15 @@ class NumericExecutor
      */
     float trainSequential(const Subnet &subnet);
 
+    /** The @p evalBatches held-out batches drawn from @p evalSeed. */
+    EvalSet makeEvalSet(std::uint64_t evalSeed,
+                        int evalBatches = 4) const;
+
     /**
-     * Evaluation-only loss of @p subnet on @p evalBatches held-out
-     * digests (no logging, no updates). Used for subnet scoring.
+     * Evaluation-only loss of @p subnet on @p eval (no logging, no
+     * updates). Used for subnet scoring.
      */
-    float evaluate(const Subnet &subnet, std::uint64_t evalSeed,
-                   int evalBatches = 4);
+    float evaluate(const Subnet &subnet, const EvalSet &eval);
 
     /** Losses of finished subnets in completion order. */
     const std::vector<float> &lossHistory() const
@@ -202,6 +218,7 @@ class NumericExecutor
     SubnetContext &context(SubnetId id);
     void fillDigest(TensorView out, SubnetId id, const char *tag,
                     std::uint64_t salt) const;
+    void fillTeacherTarget(TensorView out, ConstTensorView input) const;
     void applyUpdate(const Subnet &subnet, int block,
                      ConstTensorView gradWeight,
                      ConstTensorView gradBias, int stage);
@@ -215,6 +232,11 @@ class NumericExecutor
     ParameterStore &_store;
     Config _config;
     SgdOptimizer _optimizer;
+    /// The teacher's per-element map target = tanh(a * x + b); a pure
+    /// function of dataSeed, drawn once by the constructor.
+    std::array<float, kLayerDim> _teacherA{};
+    std::array<float, kLayerDim> _teacherB{};
+    Philox4x32 _gradNoise;  ///< keyed by (dataSeed, "grad-noise")
     /// Guards the _contexts *map structure* (begin/finish insert and
     /// erase; stage workers look contexts up concurrently). A context
     /// body needs no lock: the pipeline token moves a subnet between

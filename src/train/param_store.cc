@@ -45,48 +45,76 @@ ParameterStore::ParameterStore(const SearchSpace &space,
 {
 }
 
-LayerParams &
+std::size_t
+ParameterStore::index(const LayerId &layer) const
+{
+    const auto choices =
+        static_cast<std::uint32_t>(_space.choicesPerBlock());
+    NASPIPE_ASSERT(static_cast<int>(layer.block) < _space.numBlocks() &&
+                       layer.choice < choices,
+                   "layer outside the space");
+    return static_cast<std::size_t>(layer.block) * choices + layer.choice;
+}
+
+ParameterStore::Slot &
+ParameterStore::slot(const LayerId &layer)
+{
+    std::size_t i = index(layer);
+    if (_slots.empty()) {
+        _slots.resize(static_cast<std::size_t>(_space.numBlocks()) *
+                      static_cast<std::size_t>(_space.choicesPerBlock()));
+    }
+    return _slots[i];
+}
+
+ParameterStore::Slot &
 ParameterStore::materialize(const LayerId &layer)
 {
-    NASPIPE_ASSERT(static_cast<int>(layer.block) < _space.numBlocks() &&
-                       static_cast<int>(layer.choice) <
-                           _space.choicesPerBlock(),
-                   "layer outside the space");
-    auto it = _params.find(layer.key());
-    if (it == _params.end()) {
-        LayerParams fresh;
-        initLayerParams(fresh, _seed, layer.block, layer.choice);
+    Slot &s = slot(layer);
+    if (!s.params) {
+        auto fresh = std::make_unique<LayerParams>();
+        initLayerParams(*fresh, _seed, layer.block, layer.choice);
         // Storage rounding: fp16 runs start from fp16 weights.
         kernels::quantizeInPlace(_precision,
-                                 fresh.weight.data().data(),
-                                 fresh.weight.size());
-        kernels::quantizeInPlace(_precision,
-                                 fresh.bias.data().data(),
-                                 fresh.bias.size());
-        it = _params.emplace(layer.key(), std::move(fresh)).first;
+                                 fresh->weight.data().data(),
+                                 fresh->weight.size());
+        kernels::quantizeInPlace(_precision, fresh->bias.data().data(),
+                                 fresh->bias.size());
+        s.params = std::move(fresh);
+        _materialized++;
     }
-    return it->second;
+    return s;
+}
+
+LayerId
+ParameterStore::layerAt(std::size_t i) const
+{
+    const auto choices =
+        static_cast<std::size_t>(_space.choicesPerBlock());
+    return LayerId{static_cast<std::uint32_t>(i / choices),
+                   static_cast<std::uint32_t>(i % choices)};
 }
 
 const LayerParams &
 ParameterStore::read(const LayerId &layer, SubnetId reader, int stage)
 {
     _log.record(layer, reader, AccessKind::Read, stage);
-    return materialize(layer);
+    return *materialize(layer).params;
 }
 
 LayerParams &
 ParameterStore::write(const LayerId &layer, SubnetId writer, int stage)
 {
     _log.record(layer, writer, AccessKind::Write, stage);
-    _versions[layer.key()]++;
-    return materialize(layer);
+    Slot &s = materialize(layer);
+    s.version++;
+    return *s.params;
 }
 
 const LayerParams &
 ParameterStore::peek(const LayerId &layer)
 {
-    return materialize(layer);
+    return *materialize(layer).params;
 }
 
 void
@@ -94,10 +122,8 @@ ParameterStore::materializeAll()
 {
     for (int b = 0; b < _space.numBlocks(); b++) {
         for (int c = 0; c < _space.choicesPerBlock(); c++) {
-            LayerId layer{static_cast<std::uint32_t>(b),
-                          static_cast<std::uint32_t>(c)};
-            materialize(layer);
-            _versions.emplace(layer.key(), 0);
+            materialize(LayerId{static_cast<std::uint32_t>(b),
+                                static_cast<std::uint32_t>(c)});
         }
     }
 }
@@ -105,8 +131,8 @@ ParameterStore::materializeAll()
 std::uint64_t
 ParameterStore::version(const LayerId &layer) const
 {
-    auto it = _versions.find(layer.key());
-    return it == _versions.end() ? 0 : it->second;
+    std::size_t i = index(layer);
+    return i < _slots.size() ? _slots[i].version : 0;
 }
 
 std::uint64_t
@@ -117,7 +143,7 @@ ParameterStore::supernetHash()
         for (int c = 0; c < _space.choicesPerBlock(); c++) {
             LayerId layer{static_cast<std::uint32_t>(b),
                           static_cast<std::uint32_t>(c)};
-            std::uint64_t h = materialize(layer).contentHash();
+            std::uint64_t h = materialize(layer).params->contentHash();
             hash ^= h + 0x9e3779b97f4a7c15ULL + (hash << 6) +
                     (hash >> 2);
         }
@@ -129,14 +155,14 @@ bool
 ParameterStore::save(std::ostream &out) const
 {
     std::ostringstream payload(std::ios::binary);
-    for (const auto &[key, params] : _params) {
-        writePod(payload, key);
-        auto vit = _versions.find(key);
-        writePod(payload, vit == _versions.end()
-                              ? std::uint64_t{0}
-                              : vit->second);
-        writeTensor(payload, params.weight);
-        writeTensor(payload, params.bias);
+    for (std::size_t i = 0; i < _slots.size(); i++) {
+        const Slot &s = _slots[i];
+        if (!s.params)
+            continue;
+        writePod(payload, layerAt(i).key());
+        writePod(payload, s.version);
+        writeTensor(payload, s.params->weight);
+        writeTensor(payload, s.params->bias);
     }
     const std::string bytes = payload.str();
 
@@ -146,7 +172,7 @@ ParameterStore::save(std::ostream &out) const
     writePod(out, static_cast<std::uint32_t>(
                       _space.choicesPerBlock()));
     writePod(out, _seed);
-    writePod(out, static_cast<std::uint64_t>(_params.size()));
+    writePod(out, static_cast<std::uint64_t>(_materialized));
     writePod(out, static_cast<std::uint64_t>(bytes.size()));
     writePod(out, hashBytes(bytes.data(), bytes.size()));
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
@@ -252,19 +278,16 @@ ParameterStore::load(std::istream &in)
                  layer.choice, ") outside the space");
             return false;
         }
-        LayerParams &params = materialize(layer);
-        if (!take(params.weight.data().data(),
-                  params.weight.size() * sizeof(float)) ||
-            !take(params.bias.data().data(),
-                  params.bias.size() * sizeof(float))) {
+        Slot &s = materialize(layer);
+        if (!take(s.params->weight.data().data(),
+                  s.params->weight.size() * sizeof(float)) ||
+            !take(s.params->bias.data().data(),
+                  s.params->bias.size() * sizeof(float))) {
             warn("parameter checkpoint: payload ends inside layer (",
                  layer.block, ", ", layer.choice, ")");
             return false;
         }
-        if (layerVersion != 0)
-            _versions[key] = layerVersion;
-        else
-            _versions.erase(key);
+        s.version = layerVersion;
     }
     if (off != bytes.size()) {
         warn("parameter checkpoint: ", bytes.size() - off,
@@ -289,9 +312,12 @@ std::uint64_t
 ParameterStore::touchedHash() const
 {
     std::uint64_t hash = 0xcbf29ce484222325ULL;
-    // std::map iterates in key order: deterministic.
-    for (const auto &[key, params] : _params) {
-        std::uint64_t h = params.contentHash() ^ key;
+    // Slots iterate in key order: deterministic.
+    for (std::size_t i = 0; i < _slots.size(); i++) {
+        if (!_slots[i].params)
+            continue;
+        std::uint64_t h =
+            _slots[i].params->contentHash() ^ layerAt(i).key();
         hash ^= h + 0x9e3779b97f4a7c15ULL + (hash << 6) + (hash >> 2);
     }
     return hash;

@@ -4,7 +4,10 @@
  *
  * One LayerParams per candidate layer, lazily initialized from a pure
  * function of (seed, block, choice), with per-layer version counters
- * and the global access log. All systems — CSP, BSP, ASP — train
+ * and the global access log. Layers live in a dense slot table
+ * indexed by block * choicesPerBlock + choice, so a lookup is one
+ * multiply-add; the table itself is sized on the first lookup, not
+ * at construction. All systems — CSP, BSP, ASP — train
  * against the same store; what differs is *when* each system reads
  * and writes, which is precisely what reproducibility is about.
  */
@@ -14,8 +17,9 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <map>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "supernet/search_space.h"
 #include "tensor/kernels/precision.h"
@@ -65,11 +69,11 @@ class ParameterStore
     const LayerParams &peek(const LayerId &layer);
 
     /**
-     * Materialize every layer of the space (and pre-fill its version
-     * counter) up front. The threaded executor calls this before
-     * starting workers so the hot path never mutates the store's map
-     * structure: read()/write() only find existing nodes, and all
-     * cross-thread ordering is the CommitGate's job.
+     * Materialize every layer of the space up front. The threaded
+     * executor calls this before starting workers so the hot path
+     * never mutates the slot table: read()/write() only reach
+     * existing layers, and all cross-thread ordering is the
+     * CommitGate's job.
      */
     void materializeAll();
 
@@ -92,7 +96,7 @@ class ParameterStore
     std::uint64_t touchedHash() const;
 
     /** Number of materialized layers. */
-    std::size_t materializedLayers() const { return _params.size(); }
+    std::size_t materializedLayers() const { return _materialized; }
 
     /** @name Checkpointing
      * Persist the trained supernet for post-training analysis (the
@@ -128,13 +132,28 @@ class ParameterStore
     /** @} */
 
   private:
-    LayerParams &materialize(const LayerId &layer);
+    /** One candidate layer: parameters once materialized, WRITEs. */
+    struct Slot {
+        std::unique_ptr<LayerParams> params;
+        std::uint64_t version = 0;
+    };
+
+    /** Slot index of @p layer (panics outside the space). */
+    std::size_t index(const LayerId &layer) const;
+    /** The slot of @p layer; sizes the table on first use. */
+    Slot &slot(const LayerId &layer);
+    /** The slot of @p layer with its parameters initialized. */
+    Slot &materialize(const LayerId &layer);
+    /** The layer slot @p i stands for. */
+    LayerId layerAt(std::size_t i) const;
 
     const SearchSpace &_space;
     std::uint64_t _seed;
     kernels::PrecisionMode _precision;
-    std::map<std::uint64_t, LayerParams> _params;
-    std::map<std::uint64_t, std::uint64_t> _versions;
+    /// Ascending index is ascending LayerId::key(), the order save()
+    /// and touchedHash() emit. Empty until the first lookup.
+    std::vector<Slot> _slots;
+    std::size_t _materialized = 0;
     AccessLog _log;
 };
 

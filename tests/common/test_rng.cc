@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <map>
 #include <set>
 
@@ -160,6 +161,16 @@ TEST(Philox, CounterSensitivity)
     EXPECT_NE(p.block(0), p.block(1));
 }
 
+TEST(Philox, Random123KnownAnswer)
+{
+    // Philox4x32-10 known-answer vector from the Random123 suite:
+    // key 0, counter 0.
+    Philox4x32 p(0);
+    Philox4x32::Block expected = {0x6627e8d5u, 0xe169c58du, 0xbc57ac4cu,
+                                  0x9b00dbd8u};
+    EXPECT_EQ(p.block(0), expected);
+}
+
 TEST(Philox, UniformFloatRange)
 {
     Philox4x32 p(31337);
@@ -171,6 +182,19 @@ TEST(Philox, UniformFloatRange)
         sum += v;
     }
     EXPECT_NEAR(sum / 10000.0, 0.5, 0.02);
+}
+
+TEST(Philox, UniformFloatsMatchesEveryLane)
+{
+    Philox4x32 p(0x5eed);
+    for (std::uint64_t c = 0; c < 4096; c++) {
+        std::uint64_t counter = c * 0x9e3779b97f4a7c15ULL;
+        std::array<float, 4> lanes = p.uniformFloats(counter);
+        for (unsigned lane = 0; lane < 4; lane++) {
+            ASSERT_EQ(lanes[lane], p.uniformFloat(counter, lane))
+                << "counter " << counter << " lane " << lane;
+        }
+    }
 }
 
 TEST(DeriveSeed, TagSeparation)

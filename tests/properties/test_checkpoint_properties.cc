@@ -13,9 +13,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "runtime/pipeline_runtime.h"
 #include "supernet/search_space.h"
@@ -253,6 +255,7 @@ TEST(CheckpointProperties, RunCheckpointRejectsInconsistentCounts)
 
 TEST(CheckpointProperties, AccessLogRoundTrip)
 {
+    SearchSpace space = makeTinySpace();
     AccessLog log;
     log.record(LayerId{0, 1}, 2, AccessKind::Read);
     log.record(LayerId{0, 1}, 2, AccessKind::Write);
@@ -261,7 +264,7 @@ TEST(CheckpointProperties, AccessLogRoundTrip)
     log.saveTo(buffer);
 
     AccessLog loaded;
-    ASSERT_TRUE(loaded.loadFrom(buffer));
+    ASSERT_TRUE(loaded.loadFrom(buffer, space));
     EXPECT_EQ(loaded.totalRecords(), log.totalRecords());
     EXPECT_EQ(loaded.renderOrder(LayerId{0, 1}),
               log.renderOrder(LayerId{0, 1}));
@@ -276,6 +279,7 @@ TEST(CheckpointProperties, AccessLogRoundTrip)
 
 TEST(CheckpointProperties, AccessLogRejectsDamagedStream)
 {
+    SearchSpace space = makeTinySpace();
     AccessLog log;
     log.record(LayerId{0, 1}, 2, AccessKind::Read);
     log.record(LayerId{1, 0}, 3, AccessKind::Write);
@@ -286,9 +290,41 @@ TEST(CheckpointProperties, AccessLogRejectsDamagedStream)
     for (std::size_t len = 0; len < bytes.size(); len += 5) {
         std::stringstream in(bytes.substr(0, len));
         AccessLog loaded;
-        EXPECT_FALSE(loaded.loadFrom(in))
+        EXPECT_FALSE(loaded.loadFrom(in, space))
             << "truncation to " << len << " accepted";
         EXPECT_EQ(loaded.totalRecords(), 0u);
+    }
+}
+
+TEST(CheckpointProperties, AccessLogRejectsLayersItCannotHold)
+{
+    SearchSpace space = makeTinySpace();
+    // nextOrder, layer count, then per layer: key, record count and
+    // (order, subnet, kind) per record.
+    auto stream = [](std::vector<std::uint64_t> words) {
+        std::string bytes(words.size() * sizeof(std::uint64_t), '\0');
+        std::memcpy(bytes.data(), words.data(), bytes.size());
+        return bytes;
+    };
+    const std::uint64_t inside = (std::uint64_t{1} << 32) | 2;
+    const std::uint64_t outside =
+        static_cast<std::uint64_t>(space.numBlocks()) << 32;
+    std::stringstream good(stream({1, 1, inside, 1, 0, 4, 0}));
+    AccessLog loaded;
+    ASSERT_TRUE(loaded.loadFrom(good, space));
+    EXPECT_EQ(loaded.renderOrder(LayerId{1, 2}), "4F");
+
+    // The last claims far more records than it carries.
+    const std::uint64_t huge = std::uint64_t{1} << 62;
+    for (const std::string &bad :
+         {stream({1, 1, outside, 1, 0, 4, 0}),
+          stream({2, 2, inside, 1, 0, 4, 0, inside, 1, 1, 4, 1}),
+          stream({1, 1, inside, 0}),
+          stream({huge, 1, inside, huge, 0, 4, 0})}) {
+        std::stringstream in(bad);
+        EXPECT_FALSE(loaded.loadFrom(in, space));
+        EXPECT_EQ(loaded.totalRecords(), 0u);
+        EXPECT_TRUE(loaded.touchedLayers().empty());
     }
 }
 

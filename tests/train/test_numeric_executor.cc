@@ -191,11 +191,13 @@ TEST_F(ExecFixture, SkipLayersPassThrough)
 TEST_F(ExecFixture, EvaluateIsSideEffectFree)
 {
     Subnet sn = subnet(0);
-    float a = exec->evaluate(sn, 42);
-    float b = exec->evaluate(sn, 42);
+    const EvalSet eval = exec->makeEvalSet(42);
+    float a = exec->evaluate(sn, eval);
+    float b = exec->evaluate(sn, exec->makeEvalSet(42));
     EXPECT_EQ(a, b);
     EXPECT_EQ(store.accessLog().totalRecords(), 0u);
-    EXPECT_NE(exec->evaluate(sn, 43), a);  // seed matters
+    // The eval seed matters.
+    EXPECT_NE(exec->evaluate(sn, exec->makeEvalSet(43)), a);
 }
 
 TEST_F(ExecFixture, RecentMeanLoss)

@@ -5,9 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <sstream>
+#include <vector>
 
+#include "common/rng.h"
+#include "supernet/sampler.h"
+#include "train/numeric_executor.h"
 #include "train/param_store.h"
 
 namespace naspipe {
@@ -150,6 +155,40 @@ TEST_F(StoreFixture, OutOfSpaceLayerPanics)
 {
     EXPECT_THROW(store.peek(LayerId{4, 0}), std::logic_error);
     EXPECT_THROW(store.peek(LayerId{0, 3}), std::logic_error);
+}
+
+TEST(StoreCheckpointFormat, SaveStreamsArePinned)
+{
+    // A short sequential NLP.c1 run: later subnets touch layers whose
+    // keys sort before layers touched earlier, so both streams must
+    // order their layers by key, not by first touch.
+    SearchSpace nlp = makeSpaceByName("NLP.c1");
+    ParameterStore store(nlp, 7);
+    NumericExecutor::Config config;
+    config.dataSeed = 11;
+    NumericExecutor exec(store, config);
+    UniformSampler sampler(nlp, 5);
+    for (int i = 0; i < 6; i++)
+        exec.trainSequential(sampler.next());
+
+    const AccessLog &log = store.accessLog();
+    std::vector<LayerId> layers = log.touchedLayers();
+    std::vector<LayerId> byFirstTouch = layers;
+    std::sort(byFirstTouch.begin(), byFirstTouch.end(),
+              [&log](const LayerId &a, const LayerId &b) {
+                  return log.layerHistory(a).front().order <
+                         log.layerHistory(b).front().order;
+              });
+    ASSERT_NE(byFirstTouch, layers) << "run touched layers in key order";
+
+    std::stringstream params, records;
+    ASSERT_TRUE(store.save(params));
+    log.saveTo(records);
+    const std::string p = params.str(), r = records.str();
+    EXPECT_EQ(p.size(), 92976u);
+    EXPECT_EQ(hashBytes(p.data(), p.size()), 0x877fd05afc804825ULL);
+    EXPECT_EQ(r.size(), 11520u);
+    EXPECT_EQ(hashBytes(r.data(), r.size()), 0xccbc28438c898169ULL);
 }
 
 } // namespace
