@@ -5,6 +5,7 @@
 #include <set>
 
 #include "common/logging.h"
+#include "supernet/layer_table.h"
 
 namespace naspipe {
 namespace obs {
@@ -71,16 +72,13 @@ buildLogicalSchedule(const SearchSpace &space,
 
     // Ascending activator list per (block, choice): the causal chain
     // the CommitGate keeps, rebuilt from the sampled sequence.
-    const int choices = space.choicesPerBlock();
-    std::vector<std::vector<int>> chains(
-        static_cast<std::size_t>(space.numBlocks() * choices));
+    LayerTable<std::vector<int>> chains(space.numBlocks(),
+                                        space.choicesPerBlock());
     for (int i = 0; i < n; i++) {
         const Subnet &sn = subnets[static_cast<std::size_t>(i)];
         for (int b = 0; b < sn.size(); b++) {
             if (space.parameterized(b, sn.choice(b)))
-                chains[static_cast<std::size_t>(b * choices +
-                                                sn.choice(b))]
-                    .push_back(i);
+                chains[sn.layer(b)].push_back(i);
         }
     }
 
@@ -133,9 +131,7 @@ buildLogicalSchedule(const SearchSpace &space,
             for (int b = lo; b <= hi; b++) {
                 if (!space.parameterized(b, sn.choice(b)))
                     continue;
-                const std::vector<int> &chain = chains
-                    [static_cast<std::size_t>(b * choices +
-                                              sn.choice(b))];
+                const std::vector<int> &chain = chains[sn.layer(b)];
                 for (int j : chain) {
                     if (j >= i)
                         break;

@@ -6,7 +6,8 @@ namespace naspipe {
 
 MirrorPlanner::MirrorPlanner(const SearchSpace &space,
                              const HomePlacement &placement)
-    : _space(space), _placement(placement)
+    : _space(space), _placement(placement),
+      _mirrors(space.numBlocks(), space.choicesPerBlock())
 {
 }
 
@@ -41,8 +42,13 @@ MirrorPlanner::activate(const std::vector<MirrorEntry> &entries)
 {
     std::uint64_t newBytes = 0;
     for (const auto &entry : entries) {
-        auto key = std::make_pair(entry.layer.key(), entry.execStage);
-        if (_mirrors.insert(key).second) {
+        std::vector<bool> &stages = _mirrors[entry.layer];
+        auto stage = static_cast<std::size_t>(entry.execStage);
+        if (stage >= stages.size())
+            stages.resize(stage + 1);
+        if (!stages[stage]) {
+            stages[stage] = true;
+            _live++;
             _stats.mirrorsCreated++;
             newBytes += entry.paramBytes;
         } else {
@@ -53,7 +59,7 @@ MirrorPlanner::activate(const std::vector<MirrorEntry> &entries)
 }
 
 std::uint64_t
-MirrorPlanner::recordSyncPush(const std::vector<MirrorEntry> &entries)
+MirrorPlanner::recordSyncPush(std::span<const MirrorEntry> entries)
 {
     std::uint64_t bytes = 0;
     for (const auto &entry : entries) {
@@ -67,13 +73,17 @@ MirrorPlanner::recordSyncPush(const std::vector<MirrorEntry> &entries)
 bool
 MirrorPlanner::isMirrored(const LayerId &layer, int stage) const
 {
-    return _mirrors.count(std::make_pair(layer.key(), stage)) > 0;
+    const std::vector<bool> *stages = _mirrors.find(layer);
+    return stages && stage >= 0 &&
+           static_cast<std::size_t>(stage) < stages->size() &&
+           (*stages)[static_cast<std::size_t>(stage)];
 }
 
 void
 MirrorPlanner::reset()
 {
     _mirrors.clear();
+    _live = 0;
     _stats = MirrorStats();
 }
 

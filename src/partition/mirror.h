@@ -16,12 +16,12 @@
 #define NASPIPE_PARTITION_MIRROR_H
 
 #include <cstdint>
-#include <map>
-#include <set>
+#include <span>
 #include <vector>
 
 #include "partition/placement.h"
 #include "partition/partitioner.h"
+#include "supernet/layer_table.h"
 #include "supernet/subnet.h"
 
 namespace naspipe {
@@ -57,7 +57,8 @@ class MirrorPlanner
 
     /**
      * Layers of @p subnet that must be mirrored when executing under
-     * @p partition (balanced stage differs from home stage).
+     * @p partition (balanced stage differs from home stage), in
+     * ascending block and therefore ascending execStage.
      */
     std::vector<MirrorEntry> plan(const Subnet &subnet,
                                   const SubnetPartition &partition) const;
@@ -73,13 +74,13 @@ class MirrorPlanner
      * Record the post-update push for a subnet's mirrored layers;
      * returns the bytes that must travel between stages.
      */
-    std::uint64_t recordSyncPush(const std::vector<MirrorEntry> &entries);
+    std::uint64_t recordSyncPush(std::span<const MirrorEntry> entries);
 
     /** Whether @p layer currently has a mirror on @p stage. */
     bool isMirrored(const LayerId &layer, int stage) const;
 
     /** Number of live (layer, stage) mirror pairs. */
-    std::size_t liveMirrors() const { return _mirrors.size(); }
+    std::size_t liveMirrors() const { return _live; }
 
     const MirrorStats &stats() const { return _stats; }
 
@@ -89,7 +90,9 @@ class MirrorPlanner
   private:
     const SearchSpace &_space;
     const HomePlacement &_placement;
-    std::set<std::pair<std::uint64_t, int>> _mirrors;
+    /// Per layer, whether stage s holds a mirror of it.
+    LayerTable<std::vector<bool>> _mirrors;
+    std::size_t _live = 0;
     MirrorStats _stats;
 };
 

@@ -1,7 +1,7 @@
 #include "partition/partitioner.h"
 
 #include <algorithm>
-#include <limits>
+#include <utility>
 
 #include "common/logging.h"
 
@@ -87,65 +87,109 @@ Partitioner::blockCosts(const Subnet &subnet) const
     return costs;
 }
 
+namespace {
+
+/** Buffers of the balanced search, reused across calls on a thread. */
+struct BalancedScratch {
+    std::vector<double> prefix;  ///< prefix[b]: cost of blocks [0, b)
+    std::vector<double> prev;    ///< best bottleneck, s stages
+    std::vector<double> cur;     ///< best bottleneck, s + 1 stages
+    std::vector<int> cut;        ///< [s * (m + 1) + b]: last stage start
+};
+
+thread_local BalancedScratch scratch;
+
+} // namespace
+
 SubnetPartition
 Partitioner::balanced(const Subnet &subnet, int numStages) const
 {
-    NASPIPE_ASSERT(numStages >= 1, "need >= 1 stage");
-    const int m = subnet.size();
-    const int d = numStages;
-    std::vector<double> costs = blockCosts(subnet);
+    return minMaxPartition(blockCosts(subnet), numStages);
+}
 
-    // Prefix sums for O(1) range cost.
-    std::vector<double> prefix(static_cast<std::size_t>(m) + 1, 0.0);
-    for (int b = 0; b < m; b++) {
-        prefix[static_cast<std::size_t>(b) + 1] =
-            prefix[static_cast<std::size_t>(b)] +
-            costs[static_cast<std::size_t>(b)];
+SubnetPartition
+Partitioner::minMaxPartition(std::span<const double> costs,
+                             int numStages)
+{
+    NASPIPE_ASSERT(numStages >= 1, "need >= 1 stage");
+    const int m = static_cast<int>(costs.size());
+    const int d = numStages;
+    const auto width = static_cast<std::size_t>(m) + 1;
+    std::vector<double> &prefix = scratch.prefix;
+    std::vector<double> &prev = scratch.prev;
+    std::vector<double> &cur = scratch.cur;
+    std::vector<int> &cut = scratch.cut;
+    prefix.resize(width);
+    prev.resize(width);
+    cur.resize(width);
+    cut.resize(static_cast<std::size_t>(d) * width);
+
+    // Prefix sums for O(1) range cost. Costs are non-negative, so
+    // prefix is non-decreasing and every rounded range cost falls as
+    // its first block moves right.
+    prefix[0] = 0.0;
+    for (std::size_t b = 0; b < costs.size(); b++) {
+        NASPIPE_ASSERT(costs[b] >= 0.0, "block cost must be >= 0");
+        prefix[b + 1] = prefix[b] + costs[b];
     }
     auto rangeCost = [&](int lo, int hi) {  // blocks [lo, hi)
         return prefix[static_cast<std::size_t>(hi)] -
                prefix[static_cast<std::size_t>(lo)];
     };
 
-    const double inf = std::numeric_limits<double>::infinity();
-    // best[s][b]: minimal bottleneck splitting blocks [0, b) into
-    // s+1 stages; cut[s][b]: first block of the last stage.
-    std::vector<std::vector<double>> best(
-        static_cast<std::size_t>(d),
-        std::vector<double>(static_cast<std::size_t>(m) + 1, inf));
-    std::vector<std::vector<int>> cut(
-        static_cast<std::size_t>(d),
-        std::vector<int>(static_cast<std::size_t>(m) + 1, 0));
-
+    // prev[b]: minimal bottleneck splitting blocks [0, b) into the
+    // stages so far; cut[s][b]: first block of stage s in the best
+    // split of [0, b) into s + 1 stages.
     for (int b = 0; b <= m; b++)
-        best[0][static_cast<std::size_t>(b)] = rangeCost(0, b);
+        prev[static_cast<std::size_t>(b)] = rangeCost(0, b);
     for (int s = 1; s < d; s++) {
-        for (int b = 0; b <= m; b++) {
-            for (int k = 0; k <= b; k++) {
-                double candidate = std::max(
-                    best[static_cast<std::size_t>(s) - 1]
-                        [static_cast<std::size_t>(k)],
-                    rangeCost(k, b));
-                // Strict improvement keeps the earliest cut, which
-                // makes the DP result unique and deterministic.
-                if (candidate <
-                    best[static_cast<std::size_t>(s)]
-                        [static_cast<std::size_t>(b)]) {
-                    best[static_cast<std::size_t>(s)]
-                        [static_cast<std::size_t>(b)] = candidate;
-                    cut[static_cast<std::size_t>(s)]
-                       [static_cast<std::size_t>(b)] = k;
+        // The last stage only ever splits all m blocks.
+        const int bFirst = s + 1 < d ? 0 : m;
+        int cross = 0;
+        for (int b = bFirst; b <= m; b++) {
+            // best(k) = max(prev[k], rangeCost(k, b)) over k in
+            // [0, b]: prev is non-decreasing in k and rangeCost is
+            // non-increasing, so best falls (as rangeCost) up to the
+            // first k where prev catches up and rises (as prev)
+            // after it. A larger b only raises rangeCost, so that
+            // crossing never moves left: one sweep per stage finds
+            // it for every b. It exists because rangeCost(b, b) = 0.
+            while (prev[static_cast<std::size_t>(cross)] <
+                   rangeCost(cross, b))
+                cross++;
+            double value = prev[static_cast<std::size_t>(cross)];
+            int at = cross;
+            if (cross > 0 && rangeCost(cross - 1, b) <= value) {
+                // The minimum lies on the falling side. Keep the
+                // earliest cut reaching it, as a strict-improvement
+                // scan in ascending k would, so the result stays
+                // unique and deterministic under ties.
+                value = rangeCost(cross - 1, b);
+                int l = 0, h = cross - 1;
+                if (h == 0 || rangeCost(h - 1, b) > value)
+                    l = h;  // no tie: the common case
+                while (l < h) {
+                    int mid = l + (h - l) / 2;
+                    if (rangeCost(mid, b) <= value)
+                        h = mid;
+                    else
+                        l = mid + 1;
                 }
+                at = l;
             }
+            cur[static_cast<std::size_t>(b)] = value;
+            cut[static_cast<std::size_t>(s) * width +
+                static_cast<std::size_t>(b)] = at;
         }
+        std::swap(prev, cur);
     }
 
     // Reconstruct stage starts from the cut table.
     std::vector<int> firstBlock(static_cast<std::size_t>(d), 0);
     int b = m;
     for (int s = d - 1; s >= 1; s--) {
-        int k = cut[static_cast<std::size_t>(s)]
-                   [static_cast<std::size_t>(b)];
+        int k = cut[static_cast<std::size_t>(s) * width +
+                    static_cast<std::size_t>(b)];
         firstBlock[static_cast<std::size_t>(s)] = k;
         b = k;
     }

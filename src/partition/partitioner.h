@@ -15,6 +15,7 @@
 #ifndef NASPIPE_PARTITION_PARTITIONER_H
 #define NASPIPE_PARTITION_PARTITIONER_H
 
+#include <span>
 #include <vector>
 
 #include "supernet/search_space.h"
@@ -97,6 +98,19 @@ class Partitioner
      * per-subnet partition NASPipe executes under).
      */
     SubnetPartition balanced(const Subnet &subnet, int numStages) const;
+
+    /**
+     * The contiguous D-partition of blocks with these non-negative
+     * @p costs whose most expensive stage is cheapest; among equal
+     * bottlenecks each stage starts at the earliest block that
+     * reaches it. O(D * m * log m) at worst: for a fixed end block
+     * the bottleneck is the max of a non-decreasing and a
+     * non-increasing function of the cut, so its minimum sits where
+     * the two cross; one sweep per stage finds every crossing and a
+     * bisection finds the earliest cut under ties.
+     */
+    static SubnetPartition minMaxPartition(std::span<const double> costs,
+                                           int numStages);
 
     /**
      * Static even partition: blocks split into D equal-count ranges

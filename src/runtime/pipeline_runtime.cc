@@ -7,6 +7,8 @@
 #include "schedule/csp_scheduler.h"
 #include "session/training_session.h"
 #include "sim/simulator.h"
+#include "supernet/layer_table.h"
+#include "supernet/subnet_window.h"
 #include "train/run_checkpoint.h"
 
 namespace naspipe {
@@ -43,21 +45,38 @@ struct PipelineRuntime::Impl : ExecutionBackend {
 
     // Simulator-side bookkeeping (the session owns subnets, losses
     // and completion times).
-    /// Mirror entries grouped per (subnet, exec stage).
-    std::map<SubnetId, std::map<int, std::vector<MirrorEntry>>>
-        mirrorEntries;
-    /// Last WRITE to a layer: (completion tick, writer stage).
-    std::map<std::uint64_t, std::pair<Tick, int>> lastWrite;
-    /// Subnets that activated a layer, in ascending sequence ID.
-    std::map<std::uint64_t, std::vector<SubnetId>> activators;
-    /// Number of parameter updates applied per layer so far.
-    std::map<std::uint64_t, std::size_t> writesApplied;
-    std::map<SubnetId, double> execBusySec;
-    std::map<SubnetId, float> lossAtCompute;
+    /** Per-layer state of the current phase. */
+    struct LayerState {
+        /// Subnets that activated the layer, in ascending sequence ID.
+        std::vector<SubnetId> activators;
+        /// Parameter updates applied so far.
+        std::size_t writesApplied = 0;
+        /// Last WRITE: completion tick and writer stage (-1: none).
+        Tick lastWriteAt = 0;
+        int lastWriter = -1;
+    };
+    /** Per-subnet state from admission until the subnet completes. */
+    struct InFlight {
+        /// Arrival at the stage that runs its next forward.
+        Tick fwdArrival = 0;
+        /// Busy time of its finished tasks.
+        double busySec = 0.0;
+        /// Deferred semantics: loss at the last forward stage.
+        float lossAtCompute = 0.0f;
+        /// Mirrored layers, in ascending execStage.
+        std::vector<MirrorEntry> mirrors;
+        bool complete = false;
+    };
+    LayerTable<LayerState> layers;
+    /// Starts at the lowest incomplete subnet; completed prefixes
+    /// are popped with their busy time folded into retiredBusySec
+    /// in ID order, so busySum() adds exactly as an ID-ordered scan
+    /// over every subnet of the phase would.
+    SubnetWindow<InFlight> inflight;
+    double retiredBusySec = 0.0;
     std::vector<SubnetId> pendingFinish;  ///< Deferred: await flush
 
     std::uint64_t stallEmptyQueues = 0;
-    std::map<std::pair<int, SubnetId>, Tick> fwdArrival;
     std::uint64_t stallDependency = 0;
     std::uint64_t stallMirrorWait = 0;
 
@@ -72,7 +91,7 @@ struct PipelineRuntime::Impl : ExecutionBackend {
           numStages(c.numStages), session(s, config),
           swap(c.cluster.gpu.pcieBytesPerSec,
                c.cluster.gpu.pcieLatency),
-          injector(c.faults)
+          injector(c.faults), layers(s.numBlocks(), s.choicesPerBlock())
     {
         session.attach(this);
     }
@@ -98,6 +117,7 @@ struct PipelineRuntime::Impl : ExecutionBackend {
     void restartPhase() override;
 
     void buildPhase();
+    void trackSubnet(SubnetId id);
     bool upstreamWritesDone(int stage, SubnetId id) const;
     void injectSubnets();
     double busySum() const;
@@ -108,6 +128,7 @@ struct PipelineRuntime::Impl : ExecutionBackend {
     void startForward(int k, SubnetId id);
     void startBackward(int k, SubnetId id);
     void onSubnetComplete(int k, SubnetId id, Tick end);
+    void retireCompleted(SubnetId id);
     Tick taskDuration(const Subnet &sn, int lo, int hi,
                       TaskType type) const;
     Tick mirrorPushDelay(int writerStage, int readerStage,
@@ -158,6 +179,24 @@ PipelineRuntime::Impl::buildPhase()
     }
 }
 
+/** Record a subnet entering the phase, admitted or restored. */
+void
+PipelineRuntime::Impl::trackSubnet(SubnetId id)
+{
+    const Subnet &sn = subnetOf(id);
+    for (int b = 0; b < sn.size(); b++) {
+        if (space.parameterized(b, sn.choice(b)))
+            layers[sn.layer(b)].activators.push_back(id);
+    }
+    NASPIPE_ASSERT(id == inflight.next(), "subnet SN", id,
+                   " registered out of order");
+    InFlight &entry = inflight.push(InFlight{});
+    if (model.mirroring) {
+        entry.mirrors = mirrors->plan(sn, session.partitionOf(id));
+        mirrors->activate(entry.mirrors);
+    }
+}
+
 bool
 PipelineRuntime::Impl::upstreamWritesDone(int stage, SubnetId id) const
 {
@@ -166,18 +205,14 @@ PipelineRuntime::Impl::upstreamWritesDone(int stage, SubnetId id) const
     for (int b = lo; b <= hi; b++) {
         if (!space.parameterized(b, sn.choice(b)))
             continue;
-        std::uint64_t key = sn.layer(b).key();
-        auto actIt = activators.find(key);
-        NASPIPE_ASSERT(actIt != activators.end(),
+        const LayerState *layer = layers.find(sn.layer(b));
+        NASPIPE_ASSERT(layer && !layer->activators.empty(),
                        "candidate's own activation missing");
-        const auto &ids = actIt->second;
+        const auto &ids = layer->activators;
         auto earlier = static_cast<std::size_t>(
             std::lower_bound(ids.begin(), ids.end(), id) -
             ids.begin());
-        auto wIt = writesApplied.find(key);
-        std::size_t applied = wIt == writesApplied.end() ? 0
-                                                         : wIt->second;
-        if (applied < earlier)
+        if (layer->writesApplied < earlier)
             return false;
     }
     return true;
@@ -238,12 +273,12 @@ Tick
 PipelineRuntime::Impl::readAvailable(const LayerId &layer,
                                      int readerStage) const
 {
-    auto it = lastWrite.find(layer.key());
-    if (it == lastWrite.end())
+    const LayerState *state = layers.find(layer);
+    if (!state || state->lastWriter < 0)
         return 0;
-    auto [when, writerStage] = it->second;
-    return when + mirrorPushDelay(writerStage, readerStage,
-                                  space.spec(layer).paramBytes);
+    return state->lastWriteAt +
+           mirrorPushDelay(state->lastWriter, readerStage,
+                           space.spec(layer).paramBytes);
 }
 
 std::vector<PendingBackward>
@@ -272,21 +307,11 @@ void
 PipelineRuntime::Impl::admit(SubnetId id)
 {
     const Subnet &sn = subnetOf(id);
-    for (int b = 0; b < sn.size(); b++) {
-        if (space.parameterized(b, sn.choice(b)))
-            activators[sn.layer(b).key()].push_back(sn.id());
-    }
-    if (model.mirroring) {
-        auto entries = mirrors->plan(sn, session.partitionOf(id));
-        mirrors->activate(entries);
-        auto &grouped = mirrorEntries[sn.id()];
-        for (auto &entry : entries)
-            grouped[entry.execStage].push_back(entry);
-    }
+    trackSubnet(id);
     for (auto &stage : stages)
         stage->registerSubnet(sn);
 
-    fwdArrival[{0, sn.id()}] = sim.now();
+    inflight[id].fwdArrival = sim.now();
     // Retrieval kicks off the context fetch for the entry stage
     // (§3.3: the fetch schedule starts when a subnet is known) —
     // but only within the cache budget of ~3 subnet contexts, so
@@ -304,17 +329,7 @@ void
 PipelineRuntime::Impl::restoreCompleted(SubnetId id)
 {
     const Subnet &sn = subnetOf(id);
-    for (int b = 0; b < sn.size(); b++) {
-        if (space.parameterized(b, sn.choice(b)))
-            activators[sn.layer(b).key()].push_back(sn.id());
-    }
-    if (model.mirroring) {
-        auto entries = mirrors->plan(sn, session.partitionOf(id));
-        mirrors->activate(entries);
-        auto &grouped = mirrorEntries[sn.id()];
-        for (auto &entry : entries)
-            grouped[entry.execStage].push_back(entry);
-    }
+    trackSubnet(id);
     // Registered then immediately finished on every stage: the
     // dependency frontiers advance past the restored prefix, and
     // the numeric executor never opens a context for it.
@@ -324,11 +339,12 @@ PipelineRuntime::Impl::restoreCompleted(SubnetId id)
     }
     for (int b = 0; b < sn.size(); b++) {
         if (space.parameterized(b, sn.choice(b)))
-            writesApplied[sn.layer(b).key()]++;
+            layers[sn.layer(b)].writesApplied++;
     }
     if (flushCtl)
         flushCtl->onSubnetComplete(sn.id());
-    // lastWrite stays empty: the restored store is globally
+    retireCompleted(id);
+    // No last WRITE is recorded: the restored store is globally
     // consistent, so every read is immediately available.
 }
 
@@ -428,24 +444,21 @@ PipelineRuntime::Impl::startForward(int k, SubnetId id)
                 session.exec().forwardStage(subnet, lo, hi, semantics,
                                             k);
             if (k == numStages - 1)
-                lossAtCompute[id] = session.exec().computeLoss(subnet);
+                inflight[id].lossAtCompute =
+                    session.exec().computeLoss(subnet);
         });
     }
 
     sim.scheduleAt(
         end,
         [this, k, id, start, end] {
-            {
-                TraceRecord rec{start, end, k, TraceKind::Forward,
-                                id, ""};
-                auto it = fwdArrival.find({k, id});
-                if (it != fwdArrival.end()) {
-                    rec.detail = "wait_ms=" + std::to_string(
-                        ticksToMs(start - it->second));
-                }
-                session.trace()->add(rec);
+            if (session.trace()->enabled()) {
+                Tick waited = start - inflight[id].fwdArrival;
+                session.trace()->add(TraceRecord{
+                    start, end, k, TraceKind::Forward, id,
+                    "wait_ms=" + std::to_string(ticksToMs(waited))});
             }
-            execBusySec[id] += ticksToSec(end - start);
+            inflight[id].busySec += ticksToSec(end - start);
             if (k + 1 < numStages) {
                 Tick arrival =
                     cluster->link(k, k + 1).sendFrom(
@@ -453,7 +466,7 @@ PipelineRuntime::Impl::startForward(int k, SubnetId id)
                 sim.scheduleAt(
                     arrival,
                     [this, k, id] {
-                        fwdArrival[{k + 1, id}] = sim.now();
+                        inflight[id].fwdArrival = sim.now();
                         stages[static_cast<std::size_t>(k) + 1]
                             ->pushFwd(id);
                         tryDispatch(k + 1);
@@ -508,7 +521,7 @@ PipelineRuntime::Impl::startBackward(int k, SubnetId id)
             const Subnet &subnet = subnetOf(id);
             session.trace()->add(TraceRecord{
                 start, end, k, TraceKind::Backward, id, ""});
-            execBusySec[id] += ticksToSec(end - start);
+            inflight[id].busySec += ticksToSec(end - start);
 
             // The numeric WRITE (optimizer step) lands at completion.
             if (config.numeric && lo <= hi)
@@ -518,21 +531,19 @@ PipelineRuntime::Impl::startBackward(int k, SubnetId id)
                 for (int b = lo; b <= hi; b++) {
                     if (!space.parameterized(b, subnet.choice(b)))
                         continue;
-                    std::uint64_t key = subnet.layer(b).key();
-                    lastWrite[key] = {end, k};
-                    writesApplied[key]++;
+                    LayerState &layer = layers[subnet.layer(b)];
+                    layer.lastWriteAt = end;
+                    layer.lastWriter = k;
+                    layer.writesApplied++;
                 }
             }
 
             // Mirror push: updated mirrored parameters travel to the
             // other replicas (§4.2).
             if (model.mirroring) {
-                auto subIt = mirrorEntries.find(id);
-                if (subIt != mirrorEntries.end()) {
-                    auto stIt = subIt->second.find(k);
-                    if (stIt != subIt->second.end())
-                        mirrors->recordSyncPush(stIt->second);
-                }
+                mirrors->recordSyncPush(std::ranges::equal_range(
+                    inflight[id].mirrors, k, {},
+                    &MirrorEntry::execStage));
             }
 
             stage.mutableDeps().markFinished(id);
@@ -575,7 +586,7 @@ PipelineRuntime::Impl::onSubnetComplete(int, SubnetId id, Tick end)
         if (semantics == UpdateSemantics::Deferred) {
             // Weights update only at the flush; the loss is already
             // known from the last forward stage.
-            loss = lossAtCompute.at(id);
+            loss = inflight[id].lossAtCompute;
             pendingFinish.push_back(id);
         } else {
             loss = session.exec().finishSubnet(subnetOf(id));
@@ -583,6 +594,7 @@ PipelineRuntime::Impl::onSubnetComplete(int, SubnetId id, Tick end)
     }
     bool atBarrier = session.recordCompletion(
         id, loss, session.secOffset() + ticksToSec(end));
+    retireCompleted(id);
 
     bool mayInject = true;
     if (flushCtl) {
@@ -597,7 +609,7 @@ PipelineRuntime::Impl::onSubnetComplete(int, SubnetId id, Tick end)
                     const Subnet &fsn = subnetOf(fid);
                     for (int b = 0; b < fsn.size(); b++) {
                         if (space.parameterized(b, fsn.choice(b)))
-                            writesApplied[fsn.layer(b).key()]++;
+                            layers[fsn.layer(b)].writesApplied++;
                     }
                     session.exec().finishSubnet(fsn);
                 }
@@ -619,12 +631,22 @@ PipelineRuntime::Impl::onSubnetComplete(int, SubnetId id, Tick end)
         injectSubnets();
 }
 
+void
+PipelineRuntime::Impl::retireCompleted(SubnetId id)
+{
+    inflight[id].complete = true;
+    while (!inflight.empty() && inflight.front().complete) {
+        retiredBusySec += inflight.front().busySec;
+        inflight.pop();
+    }
+}
+
 double
 PipelineRuntime::Impl::busySum() const
 {
-    double total = 0.0;
-    for (const auto &[id, sec] : execBusySec)
-        total += sec;
+    double total = retiredBusySec;
+    for (const InFlight &entry : inflight)
+        total += entry.busySec;
     return total;
 }
 
@@ -703,14 +725,10 @@ PipelineRuntime::Impl::resetRunState()
     placement.reset();
     mirrors.reset();
     flushCtl.reset();
-    mirrorEntries.clear();
-    lastWrite.clear();
-    activators.clear();
-    writesApplied.clear();
-    execBusySec.clear();
-    lossAtCompute.clear();
+    layers.clear();
+    inflight.reset();
+    retiredBusySec = 0.0;
     pendingFinish.clear();
-    fwdArrival.clear();
     crashed = false;
     // Stall counters and fault bookkeeping carry across phases
     // deliberately: they are cumulative diagnostics. The session's

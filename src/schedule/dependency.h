@@ -2,11 +2,13 @@
  * @file
  * Per-stage causal dependency tracking (the core of Algorithm 2).
  *
- * Each stage keeps a registry of the subnets it knows (L_SN), the set
- * of subnets whose backward pass already ran on this stage (L_f), and
- * a frontier implementing the paper's elimination scheme: "when
+ * Each stage keeps a registry of the subnets it knows (L_SN), which
+ * of them already ran their backward pass on this stage (L_f), and a
+ * frontier implementing the paper's elimination scheme: "when
  * subnets before a seq ID are all finished, we remove them both from
- * the finished list and the dependencies check" (§3.2).
+ * the finished list and the dependencies check" (§3.2). Both lists
+ * live in one SubnetWindow of {subnet, finished} entries starting at
+ * the frontier, so the check walks a contiguous array in ID order.
  *
  * satisfied(y, lo, hi) answers Algorithm 2's inner loops: is any
  * layer y picks in blocks [lo, hi] (the stage's partition of y) also
@@ -17,10 +19,9 @@
 #define NASPIPE_SCHEDULE_DEPENDENCY_H
 
 #include <cstdint>
-#include <map>
-#include <set>
 
 #include "supernet/subnet.h"
+#include "supernet/subnet_window.h"
 
 namespace naspipe {
 
@@ -100,25 +101,38 @@ class DependencyTracker
                                 SubnetId staleness) const;
 
     /** All IDs below this are finished and eliminated. */
-    SubnetId frontier() const { return _frontier; }
+    SubnetId frontier() const { return _window.frontier(); }
 
     /** Number of retained (non-eliminated) subnets. */
-    std::size_t retained() const { return _subnets.size(); }
+    std::size_t retained() const { return _window.size(); }
 
     /** Size of the finished list (after elimination). */
-    std::size_t finishedCount() const { return _finished.size(); }
+    std::size_t finishedCount() const { return _finishedCount; }
 
     void reset();
 
   private:
+    /** One retained subnet: an L_SN entry and its L_f flag. */
+    struct Entry {
+        Subnet subnet;
+        bool finished = false;
+    };
+
+    /**
+     * The unfinished subnet with the smallest ID below @p limit that
+     * shares a layer with the candidate's blocks, skipping
+     * @p hypothetical; -1 if there is none.
+     */
+    SubnetId scan(const Subnet &candidate, int firstBlock,
+                  int lastBlock, SubnetId limit,
+                  SubnetId hypothetical) const;
+
     bool blockedBy(const Subnet &candidate, int firstBlock,
-                   int lastBlock, SubnetId earlier) const;
+                   int lastBlock, const Subnet &earlier) const;
 
     const SearchSpace *_space = nullptr;
-    std::map<SubnetId, Subnet> _subnets;  ///< L_SN (frontier-trimmed)
-    std::set<SubnetId> _finished;         ///< L_f (frontier-trimmed)
-    SubnetId _frontier = 0;
-    SubnetId _nextExpected = 0;
+    SubnetWindow<Entry> _window;    ///< L_SN and L_f (frontier-trimmed)
+    std::size_t _finishedCount = 0; ///< finished entries in the window
 };
 
 } // namespace naspipe

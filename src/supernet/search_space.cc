@@ -56,8 +56,9 @@ SearchSpace::SearchSpace(std::string name, SpaceFamily family,
     // costs, which the reproducibility experiments depend on.
     Philox4x32 philox(deriveSeed(seed, "search-space"));
 
-    _specs.reserve(static_cast<std::size_t>(numBlocks) *
-                   static_cast<std::size_t>(choicesPerBlock));
+    std::vector<LayerSpec> specs;  // ascending (block, choice)
+    specs.reserve(static_cast<std::size_t>(numBlocks) *
+                  static_cast<std::size_t>(choicesPerBlock));
     for (int b = 0; b < numBlocks; b++) {
         for (int c = 0; c < choicesPerBlock; c++) {
             if (_skipMass > 0.0 && c == 0) {
@@ -65,7 +66,7 @@ SearchSpace::SearchSpace(std::string name, SpaceFamily family,
                 LayerSpec skip = db.reference(LayerKind::Identity);
                 skip.paramBytes = 0;
                 skip.swapMs = 0.0;
-                _specs.push_back(skip);
+                specs.push_back(skip);
                 continue;
             }
             LayerKind kind = kinds[c % numKinds];
@@ -78,9 +79,11 @@ SearchSpace::SearchSpace(std::string name, SpaceFamily family,
                 0.7 + 0.6 * philox.uniformFloat(counter);
             LayerSpec spec = db.scaled(kind, scale);
             _totalParamBytes += spec.paramBytes;
-            _specs.push_back(spec);
+            specs.push_back(spec);
         }
     }
+    _specs = LayerTable<LayerSpec>(numBlocks, choicesPerBlock,
+                                   std::move(specs));
 }
 
 const char *
@@ -94,25 +97,6 @@ SearchSpace::referenceBatch() const
 {
     return _family == SpaceFamily::Nlp ? kNlpReferenceBatch
                                        : kCvReferenceBatch;
-}
-
-const LayerSpec &
-SearchSpace::spec(int block, int choice) const
-{
-    NASPIPE_ASSERT(block >= 0 && block < _numBlocks,
-                   "block ", block, " out of range");
-    NASPIPE_ASSERT(choice >= 0 && choice < _choicesPerBlock,
-                   "choice ", choice, " out of range");
-    return _specs[static_cast<std::size_t>(block) *
-                      static_cast<std::size_t>(_choicesPerBlock) +
-                  static_cast<std::size_t>(choice)];
-}
-
-const LayerSpec &
-SearchSpace::spec(const LayerId &id) const
-{
-    return spec(static_cast<int>(id.block),
-                static_cast<int>(id.choice));
 }
 
 std::uint64_t

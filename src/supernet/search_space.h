@@ -17,7 +17,9 @@
 #include <string>
 #include <vector>
 
+#include "common/logging.h"
 #include "supernet/layer.h"
+#include "supernet/layer_table.h"
 
 namespace naspipe {
 
@@ -72,10 +74,23 @@ class SearchSpace
     int referenceBatch() const;
 
     /** Cost profile of candidate @p choice in block @p block. */
-    const LayerSpec &spec(int block, int choice) const;
+    const LayerSpec &
+    spec(int block, int choice) const
+    {
+        // Negative indices wrap to values the table rejects.
+        return spec(LayerId{static_cast<std::uint32_t>(block),
+                            static_cast<std::uint32_t>(choice)});
+    }
 
     /** Cost profile by LayerId. */
-    const LayerSpec &spec(const LayerId &id) const;
+    const LayerSpec &
+    spec(const LayerId &id) const
+    {
+        const LayerSpec *spec = _specs.find(id);
+        NASPIPE_ASSERT(spec, "layer (", id.block, ", ", id.choice,
+                       ") outside the space");
+        return *spec;
+    }
 
     /** Sampling mass of the skip candidate (0: no skip choice). */
     double skipMass() const { return _skipMass; }
@@ -111,7 +126,7 @@ class SearchSpace
     int _numBlocks;
     int _choicesPerBlock;
     double _skipMass;
-    std::vector<LayerSpec> _specs;  ///< [block * n + choice]
+    LayerTable<LayerSpec> _specs;
     std::uint64_t _totalParamBytes = 0;
 };
 

@@ -13,21 +13,6 @@ Subnet::Subnet(SubnetId id, std::vector<std::uint16_t> choices)
     NASPIPE_ASSERT(!_choices.empty(), "subnet must have choices");
 }
 
-int
-Subnet::choice(int block) const
-{
-    NASPIPE_ASSERT(block >= 0 && block < size(),
-                   "block ", block, " out of range");
-    return _choices[static_cast<std::size_t>(block)];
-}
-
-LayerId
-Subnet::layer(int block) const
-{
-    return LayerId{static_cast<std::uint32_t>(block),
-                   static_cast<std::uint32_t>(choice(block))};
-}
-
 bool
 Subnet::sharesLayerWith(const Subnet &other) const
 {

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "common/logging.h"
 #include "supernet/layer.h"
 #include "supernet/search_space.h"
 
@@ -43,13 +44,24 @@ class Subnet
     int size() const { return static_cast<int>(_choices.size()); }
 
     /** Choice in block @p block. */
-    int choice(int block) const;
+    int
+    choice(int block) const
+    {
+        NASPIPE_ASSERT(block >= 0 && block < size(),
+                       "block ", block, " out of range");
+        return _choices[static_cast<std::size_t>(block)];
+    }
 
     /** All choices. */
     const std::vector<std::uint16_t> &choices() const { return _choices; }
 
     /** LayerId of the activated layer in @p block. */
-    LayerId layer(int block) const;
+    LayerId
+    layer(int block) const
+    {
+        return LayerId{static_cast<std::uint32_t>(block),
+                       static_cast<std::uint32_t>(choice(block))};
+    }
 
     /**
      * Whether this subnet activates the same layer as @p other in any

@@ -26,17 +26,6 @@ readU64(std::istream &in, std::uint64_t &value)
 
 } // namespace
 
-std::vector<AccessRecord> &
-AccessLog::history(const LayerId &layer)
-{
-    if (layer.block >= _history.size())
-        _history.resize(static_cast<std::size_t>(layer.block) + 1);
-    std::vector<std::vector<AccessRecord>> &row = _history[layer.block];
-    if (layer.choice >= row.size())
-        row.resize(static_cast<std::size_t>(layer.choice) + 1);
-    return row[layer.choice];
-}
-
 void
 AccessLog::record(const LayerId &layer, SubnetId subnet,
                   AccessKind kind, int stage)
@@ -44,7 +33,7 @@ AccessLog::record(const LayerId &layer, SubnetId subnet,
     if (!_enabled)
         return;
     std::lock_guard<RankedMutex> lock(_recordMu);
-    history(layer).push_back(
+    _history[layer].push_back(
         AccessRecord{_nextOrder++, subnet, kind, stage});
 }
 
@@ -52,11 +41,8 @@ const std::vector<AccessRecord> &
 AccessLog::layerHistory(const LayerId &layer) const
 {
     static const std::vector<AccessRecord> kEmpty;
-    if (layer.block >= _history.size() ||
-        layer.choice >= _history[layer.block].size()) {
-        return kEmpty;
-    }
-    return _history[layer.block][layer.choice];
+    const std::vector<AccessRecord> *history = _history.find(layer);
+    return history ? *history : kEmpty;
 }
 
 std::string
@@ -101,14 +87,11 @@ std::vector<LayerId>
 AccessLog::touchedLayers() const
 {
     std::vector<LayerId> out;
-    for (std::size_t b = 0; b < _history.size(); b++) {
-        for (std::size_t c = 0; c < _history[b].size(); c++) {
-            if (!_history[b][c].empty()) {
-                out.push_back(LayerId{static_cast<std::uint32_t>(b),
-                                      static_cast<std::uint32_t>(c)});
-            }
-        }
-    }
+    _history.forEach([&out](const LayerId &layer,
+                            const std::vector<AccessRecord> &records) {
+        if (!records.empty())
+            out.push_back(layer);
+    });
     return out;
 }
 
@@ -149,7 +132,8 @@ AccessLog::loadFrom(std::istream &in, const SearchSpace &space)
     std::uint64_t numLayers = 0;
     if (!readU64(in, nextOrder) || !readU64(in, numLayers))
         return false;
-    AccessLog loaded;
+    // Cleared above, so this copies only the table's shape.
+    LayerTable<std::vector<AccessRecord>> loaded = _history;
     std::uint64_t total = 0;
     for (std::uint64_t l = 0; l < numLayers; l++) {
         std::uint64_t key = 0;
@@ -159,9 +143,10 @@ AccessLog::loadFrom(std::istream &in, const SearchSpace &space)
         LayerId layer{static_cast<std::uint32_t>(key >> 32),
                       static_cast<std::uint32_t>(key & 0xffffffffULL)};
         // saveTo() writes each touched layer once, none empty.
+        const std::vector<AccessRecord> *seen = loaded.find(layer);
         if (static_cast<int>(layer.block) >= space.numBlocks() ||
             static_cast<int>(layer.choice) >= space.choicesPerBlock() ||
-            count == 0 || !loaded.layerHistory(layer).empty()) {
+            count == 0 || (seen && !seen->empty())) {
             return false;
         }
         // Every record carries a distinct order < nextOrder, so a
@@ -186,9 +171,9 @@ AccessLog::loadFrom(std::istream &in, const SearchSpace &space)
                 kind ? AccessKind::Write : AccessKind::Read});
         }
         total += count;
-        loaded.history(layer) = std::move(records);
+        loaded[layer] = std::move(records);
     }
-    _history = std::move(loaded._history);
+    _history = std::move(loaded);
     _nextOrder = nextOrder;
     return true;
 }

@@ -22,6 +22,7 @@
 
 #include "common/lock_rank.h"
 #include "supernet/layer.h"
+#include "supernet/layer_table.h"
 #include "supernet/subnet.h"
 
 namespace naspipe {
@@ -55,6 +56,15 @@ struct AccessRecord {
 class AccessLog
 {
   public:
+    /** A log that accepts any layer. */
+    AccessLog() = default;
+
+    /** A log of a numBlocks x choicesPerBlock space's layers. */
+    AccessLog(int numBlocks, int choicesPerBlock)
+        : _history(numBlocks, choicesPerBlock)
+    {
+    }
+
     /** Enable/disable recording (on by default). */
     void enabled(bool on) { _enabled = on; }
     bool enabled() const { return _enabled; }
@@ -109,9 +119,6 @@ class AccessLog
     void clear();
 
   private:
-    /** The history of @p layer, growing the table to reach it. */
-    std::vector<AccessRecord> &history(const LayerId &layer);
-
     bool _enabled = true;
     /// record() may be called from concurrent stage workers (the
     /// threaded executor); everything else is single-threaded —
@@ -119,10 +126,8 @@ class AccessLog
     /// the workers are joined.
     RankedMutex _recordMu{LockRank::TrainAccessLog};
     std::uint64_t _nextOrder = 0;
-    /// _history[block][choice], grown on demand so record() finds a
-    /// layer by two indexings; an empty history is an untouched
-    /// layer. Nested iteration visits ascending LayerId::key().
-    std::vector<std::vector<std::vector<AccessRecord>>> _history;
+    /// Per-layer histories; an empty history is an untouched layer.
+    LayerTable<std::vector<AccessRecord>> _history;
 };
 
 } // namespace naspipe

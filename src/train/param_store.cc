@@ -41,36 +41,16 @@ writeTensor(std::ostream &out, const Tensor &t)
 ParameterStore::ParameterStore(const SearchSpace &space,
                                std::uint64_t seed,
                                kernels::PrecisionMode precision)
-    : _space(space), _seed(seed), _precision(precision)
+    : _space(space), _seed(seed), _precision(precision),
+      _slots(space.numBlocks(), space.choicesPerBlock()),
+      _log(space.numBlocks(), space.choicesPerBlock())
 {
-}
-
-std::size_t
-ParameterStore::index(const LayerId &layer) const
-{
-    const auto choices =
-        static_cast<std::uint32_t>(_space.choicesPerBlock());
-    NASPIPE_ASSERT(static_cast<int>(layer.block) < _space.numBlocks() &&
-                       layer.choice < choices,
-                   "layer outside the space");
-    return static_cast<std::size_t>(layer.block) * choices + layer.choice;
-}
-
-ParameterStore::Slot &
-ParameterStore::slot(const LayerId &layer)
-{
-    std::size_t i = index(layer);
-    if (_slots.empty()) {
-        _slots.resize(static_cast<std::size_t>(_space.numBlocks()) *
-                      static_cast<std::size_t>(_space.choicesPerBlock()));
-    }
-    return _slots[i];
 }
 
 ParameterStore::Slot &
 ParameterStore::materialize(const LayerId &layer)
 {
-    Slot &s = slot(layer);
+    Slot &s = _slots[layer];
     if (!s.params) {
         auto fresh = std::make_unique<LayerParams>();
         initLayerParams(*fresh, _seed, layer.block, layer.choice);
@@ -84,15 +64,6 @@ ParameterStore::materialize(const LayerId &layer)
         _materialized++;
     }
     return s;
-}
-
-LayerId
-ParameterStore::layerAt(std::size_t i) const
-{
-    const auto choices =
-        static_cast<std::size_t>(_space.choicesPerBlock());
-    return LayerId{static_cast<std::uint32_t>(i / choices),
-                   static_cast<std::uint32_t>(i % choices)};
 }
 
 const LayerParams &
@@ -131,8 +102,8 @@ ParameterStore::materializeAll()
 std::uint64_t
 ParameterStore::version(const LayerId &layer) const
 {
-    std::size_t i = index(layer);
-    return i < _slots.size() ? _slots[i].version : 0;
+    const Slot *s = _slots.find(layer);
+    return s ? s->version : 0;
 }
 
 std::uint64_t
@@ -155,15 +126,14 @@ bool
 ParameterStore::save(std::ostream &out) const
 {
     std::ostringstream payload(std::ios::binary);
-    for (std::size_t i = 0; i < _slots.size(); i++) {
-        const Slot &s = _slots[i];
+    _slots.forEach([&payload](const LayerId &layer, const Slot &s) {
         if (!s.params)
-            continue;
-        writePod(payload, layerAt(i).key());
+            return;
+        writePod(payload, layer.key());
         writePod(payload, s.version);
         writeTensor(payload, s.params->weight);
         writeTensor(payload, s.params->bias);
-    }
+    });
     const std::string bytes = payload.str();
 
     writePod(out, kCheckpointMagic);
@@ -313,13 +283,12 @@ ParameterStore::touchedHash() const
 {
     std::uint64_t hash = 0xcbf29ce484222325ULL;
     // Slots iterate in key order: deterministic.
-    for (std::size_t i = 0; i < _slots.size(); i++) {
-        if (!_slots[i].params)
-            continue;
-        std::uint64_t h =
-            _slots[i].params->contentHash() ^ layerAt(i).key();
+    _slots.forEach([&hash](const LayerId &layer, const Slot &s) {
+        if (!s.params)
+            return;
+        std::uint64_t h = s.params->contentHash() ^ layer.key();
         hash ^= h + 0x9e3779b97f4a7c15ULL + (hash << 6) + (hash >> 2);
-    }
+    });
     return hash;
 }
 

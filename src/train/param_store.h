@@ -4,10 +4,9 @@
  *
  * One LayerParams per candidate layer, lazily initialized from a pure
  * function of (seed, block, choice), with per-layer version counters
- * and the global access log. Layers live in a dense slot table
- * indexed by block * choicesPerBlock + choice, so a lookup is one
- * multiply-add; the table itself is sized on the first lookup, not
- * at construction. All systems — CSP, BSP, ASP — train
+ * and the global access log. Layers live in a LayerTable, so a
+ * lookup is one multiply-add; the table itself is sized on the first
+ * lookup, not at construction. All systems — CSP, BSP, ASP — train
  * against the same store; what differs is *when* each system reads
  * and writes, which is precisely what reproducibility is about.
  */
@@ -21,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "supernet/layer_table.h"
 #include "supernet/search_space.h"
 #include "tensor/kernels/precision.h"
 #include "tensor/layer_math.h"
@@ -138,21 +138,15 @@ class ParameterStore
         std::uint64_t version = 0;
     };
 
-    /** Slot index of @p layer (panics outside the space). */
-    std::size_t index(const LayerId &layer) const;
-    /** The slot of @p layer; sizes the table on first use. */
-    Slot &slot(const LayerId &layer);
     /** The slot of @p layer with its parameters initialized. */
     Slot &materialize(const LayerId &layer);
-    /** The layer slot @p i stands for. */
-    LayerId layerAt(std::size_t i) const;
 
     const SearchSpace &_space;
     std::uint64_t _seed;
     kernels::PrecisionMode _precision;
-    /// Ascending index is ascending LayerId::key(), the order save()
-    /// and touchedHash() emit. Empty until the first lookup.
-    std::vector<Slot> _slots;
+    /// Visited in ascending LayerId::key(), the order save() and
+    /// touchedHash() emit. Unallocated until the first lookup.
+    LayerTable<Slot> _slots;
     std::size_t _materialized = 0;
     AccessLog _log;
 };

@@ -5,11 +5,66 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <vector>
+
+#include "common/rng.h"
 #include "partition/partitioner.h"
 #include "supernet/sampler.h"
 
 namespace naspipe {
 namespace {
+
+/**
+ * The O(D * m^2) reference: for every stage count and end block, scan
+ * every cut in ascending order and keep the first strict improvement,
+ * so ties resolve to the earliest cut.
+ */
+std::vector<int>
+referenceFirstBlocks(const std::vector<double> &costs, int d)
+{
+    const auto m = static_cast<int>(costs.size());
+    const auto w = static_cast<std::size_t>(m) + 1;
+    std::vector<double> prefix(w, 0.0);
+    for (std::size_t b = 0; b < costs.size(); b++)
+        prefix[b + 1] = prefix[b] + costs[b];
+    const double inf = std::numeric_limits<double>::infinity();
+    std::vector<std::vector<double>> best(
+        static_cast<std::size_t>(d), std::vector<double>(w, inf));
+    std::vector<std::vector<int>> cut(static_cast<std::size_t>(d),
+                                      std::vector<int>(w, 0));
+    for (std::size_t b = 0; b < w; b++)
+        best[0][b] = prefix[b];
+    for (std::size_t s = 1; s < static_cast<std::size_t>(d); s++) {
+        for (std::size_t b = 0; b < w; b++) {
+            for (std::size_t k = 0; k <= b; k++) {
+                double candidate =
+                    std::max(best[s - 1][k], prefix[b] - prefix[k]);
+                if (candidate < best[s][b]) {
+                    best[s][b] = candidate;
+                    cut[s][b] = static_cast<int>(k);
+                }
+            }
+        }
+    }
+    std::vector<int> first(static_cast<std::size_t>(d), 0);
+    int b = m;
+    for (int s = d - 1; s >= 1; s--) {
+        b = cut[static_cast<std::size_t>(s)][static_cast<std::size_t>(b)];
+        first[static_cast<std::size_t>(s)] = b;
+    }
+    return first;
+}
+
+std::vector<int>
+firstBlocks(const SubnetPartition &p)
+{
+    std::vector<int> first;
+    for (int s = 0; s < p.numStages(); s++)
+        first.push_back(p.firstBlock(s));
+    return first;
+}
 
 TEST(SubnetPartition, BasicQueries)
 {
@@ -107,6 +162,47 @@ TEST(Partitioner, BalancedIsOptimalOnSmallInstance)
     }
     auto partition = part.balanced(sn, 3);
     EXPECT_NEAR(part.cost(sn, partition).maxMs, best, 1e-9);
+}
+
+TEST(Partitioner, MinMaxPartitionEqualsReferenceDp)
+{
+    // Seeded random instances: m in [1, 60], D in [1, 10] (often
+    // more stages than blocks), small integer costs full of ties and
+    // zeros, and real costs.
+    Philox4x32 rng(20240611);
+    std::uint64_t counter = 0;
+    for (int trial = 0; trial < 4000; trial++) {
+        Philox4x32::Block shape = rng.block(counter++);
+        const int m = 1 + static_cast<int>(shape[0] % 60);
+        const int d = 1 + static_cast<int>(shape[1] % 10);
+        const bool integral = shape[2] % 2 == 0;
+        std::vector<double> costs(static_cast<std::size_t>(m));
+        for (double &c : costs) {
+            Philox4x32::Block draw = rng.block(counter++);
+            c = integral ? static_cast<double>(draw[0] % 4)
+                         : rng.uniformFloat(counter - 1, 1) * 10.0;
+        }
+        EXPECT_EQ(firstBlocks(Partitioner::minMaxPartition(costs, d)),
+                  referenceFirstBlocks(costs, d))
+            << "trial " << trial << " m=" << m << " d=" << d;
+    }
+}
+
+TEST(Partitioner, BalancedEqualsReferenceDpOnSpaces)
+{
+    for (const SearchSpace &space :
+         {makeSpaceByName("NLP.c2"), makeSpaceByName("CV.c3")}) {
+        Partitioner part(space, space.referenceBatch());
+        UniformSampler sampler(space, 5);
+        for (int i = 0; i < 50; i++) {
+            Subnet sn = sampler.next();
+            for (int d : {1, 2, 4, 8, 64}) {
+                EXPECT_EQ(firstBlocks(part.balanced(sn, d)),
+                          referenceFirstBlocks(part.blockCosts(sn), d))
+                    << space.name() << " " << sn.toString() << " d=" << d;
+            }
+        }
+    }
 }
 
 TEST(Partitioner, CostTotalsMatchBlockSum)

@@ -123,6 +123,18 @@ TEST(AccessLog, DisabledLogRecordsNothing)
     EXPECT_EQ(log.totalRecords(), 0u);
 }
 
+TEST(AccessLog, ShapedLogRejectsLayersOutsideItsSpace)
+{
+    AccessLog log(4, 3);
+    log.record(LayerId{3, 2}, 0, AccessKind::Read);
+    EXPECT_THROW(log.record(LayerId{4, 0}, 0, AccessKind::Read),
+                 std::logic_error);
+    EXPECT_THROW(log.record(LayerId{0, 3}, 0, AccessKind::Read),
+                 std::logic_error);
+    EXPECT_TRUE(log.layerHistory(LayerId{9, 9}).empty());
+    EXPECT_EQ(log.touchedLayers(), std::vector<LayerId>{(LayerId{3, 2})});
+}
+
 TEST(AccessLog, ClearResets)
 {
     AccessLog log;
