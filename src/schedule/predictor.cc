@@ -25,9 +25,18 @@ Predictor::beforeBackward(const StageInfo &stage, SubnetId received,
     }
 
     // Lines 9-10: remember the pending backwards the message carried.
+    // A record whose precedence forward already ran here can never be
+    // released (each forward runs once per stage), so it is not kept.
+    // The simulator carries the next stage's queued forwards, which
+    // have all run here, so in practice nothing is kept.
+    std::erase_if(_forwardsRun, [&stage](SubnetId id) {
+        return stage.deps().finished(id);
+    });
     for (const auto &bwd : nextBwds) {
-        if (std::find(_blocked.begin(), _blocked.end(), bwd) ==
-            _blocked.end()) {
+        bool ran = stage.deps().finished(bwd.precedence) ||
+                   std::ranges::find(_forwardsRun, bwd.precedence) !=
+                       _forwardsRun.end();
+        if (!ran && std::ranges::find(_blocked, bwd) == _blocked.end()) {
             _blocked.push_back(bwd);
             _stats.pendingRecorded++;
         }
@@ -40,6 +49,7 @@ Predictor::beforeForward(const StageInfo &stage, SubnetId current,
 {
     NASPIPE_ASSERT(fetch, "predictor requires a fetch callback");
     _stats.calls++;
+    _forwardsRun.push_back(current);
 
     // Lines 13-15: the current forward may release a pending
     // backward; fetch its context ahead of arrival.

@@ -55,7 +55,7 @@ enum class PredictReason {
 struct PredictorStats {
     std::uint64_t calls = 0;
     std::uint64_t fetchesRequested = 0;
-    std::uint64_t pendingRecorded = 0;
+    std::uint64_t pendingRecorded = 0;  ///< entries added to L_blocked
 };
 
 /**
@@ -90,7 +90,11 @@ class Predictor
     void beforeForward(const StageInfo &stage, SubnetId current,
                        const FetchFn &fetch);
 
-    /** Blocked-backward records not yet released. */
+    /**
+     * Blocked-backward records not yet released. Only records whose
+     * precedence forward has not yet run on the stage are kept, so
+     * the list holds at most the stage's in-flight subnets.
+     */
     const std::vector<PendingBackward> &blocked() const
     {
         return _blocked;
@@ -100,6 +104,9 @@ class Predictor
 
   private:
     std::vector<PendingBackward> _blocked;  ///< L_blocked
+    /// Forwards seen by beforeForward whose backward has not finished
+    /// on the stage (finished ones are in the stage's L_f).
+    std::vector<SubnetId> _forwardsRun;
     PredictorStats _stats;
 };
 

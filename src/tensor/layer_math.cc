@@ -1,10 +1,10 @@
 #include "tensor/layer_math.h"
 
 #include <array>
-#include <cmath>
 
 #include "common/logging.h"
 #include "common/rng.h"
+#include "tensor/kernels/tanh.h"
 
 namespace naspipe {
 
@@ -71,15 +71,30 @@ void
 layerForward(LayerParamsView params, ConstTensorView input,
              TensorView output)
 {
-    NASPIPE_ASSERT(input.size() == kLayerDim &&
-                       output.size() == kLayerDim,
+    NASPIPE_ASSERT(params.weight.size() == kLayerDim &&
+                       params.bias.size() == kLayerDim &&
+                       !input.empty() && input.size() % kLayerDim == 0 &&
+                       output.size() == input.size(),
                    "layer forward shape mismatch");
-    for (std::size_t i = 0; i < kLayerDim; i++) {
-        std::size_t j = (i + 1) % kLayerDim;
-        float z = params.weight[i] * input[i] +
-                  kMixCoeff * params.weight[j] + params.bias[i];
-        output[i] = input[i] + kResidual * std::tanh(z);
+    const float *w = params.weight.data();
+    const float *bias = params.bias.data();
+    const float *in = input.data();
+    float *out = output.data();
+    const std::size_t n = input.size();
+    // Three passes: z into the output, one tanh kernel call over
+    // every row, then the residual. Each element sees the operations
+    // of the one-pass formula in the same order, so the bits do not
+    // depend on the pass split or on the number of rows.
+    for (std::size_t row = 0; row < n; row += kLayerDim) {
+        for (std::size_t i = 0; i < kLayerDim; i++) {
+            std::size_t j = (i + 1) % kLayerDim;
+            out[row + i] =
+                w[i] * in[row + i] + kMixCoeff * w[j] + bias[i];
+        }
     }
+    kernels::tanh(out, out, n);
+    for (std::size_t k = 0; k < n; k++)
+        out[k] = in[k] + kResidual * out[k];
 }
 
 void
@@ -95,15 +110,17 @@ layerBackward(LayerParamsView params, ConstTensorView input,
     // Recompute z (activation recomputation semantics): the backward
     // uses the parameter values *current at backward time*, exactly
     // like PyTorch's checkpoint utility the paper uses. dz lives on
-    // the stack — the backward path allocates nothing.
+    // the stack — the backward path allocates nothing. The same three
+    // passes as the forward: z, tanh in place, then dz.
     float dz[kLayerDim];
     for (std::size_t i = 0; i < kLayerDim; i++) {
         std::size_t j = (i + 1) % kLayerDim;
-        float z = params.weight[i] * input[i] +
-                  kMixCoeff * params.weight[j] + params.bias[i];
-        float t = std::tanh(z);
-        dz[i] = gradOutput[i] * kResidual * (1.0f - t * t);
+        dz[i] = params.weight[i] * input[i] +
+                kMixCoeff * params.weight[j] + params.bias[i];
     }
+    kernels::tanh(dz, dz, kLayerDim);
+    for (std::size_t i = 0; i < kLayerDim; i++)
+        dz[i] = gradOutput[i] * kResidual * (1.0f - dz[i] * dz[i]);
 
     for (std::size_t i = 0; i < kLayerDim; i++) {
         std::size_t prev = (i + kLayerDim - 1) % kLayerDim;

@@ -17,7 +17,10 @@
  *     out_i = a_i + kResidual * tanh(z_i),
  *
  * (the w_{i+1} term couples parameters so updates are not separable),
- * and backward computes exact gradients of that function.
+ * and backward computes exact gradients of that function. Both run in
+ * three passes — every z_i, one kernels::tanh call over the vector,
+ * then the residual (forward) or dz (backward) — which gives each
+ * element the one-pass formula's operations in the same order.
  *
  * The passes take non-owning views (LayerParamsView / LayerGradsView)
  * so the training engine can run them over arena-backed storage with
@@ -111,10 +114,16 @@ void initLayerParams(LayerParams &params, std::uint64_t seed,
                      std::uint32_t block, std::uint32_t choice);
 
 /**
- * Forward pass of the surrogate layer.
+ * Forward pass of the surrogate layer over one or more rows: @p input
+ * holds rows of kLayerDim activations back to back, and every row
+ * goes through the same parameters. A row's output bits do not depend
+ * on the other rows, so a batch of rows (the search's eval batches)
+ * equals that many one-row calls, at one parameter read and one tanh
+ * kernel call per layer.
  * @param params layer parameters (READ access)
- * @param input activation from the previous layer
- * @param output activation to the next layer (pre-sized kLayerDim)
+ * @param input activation rows from the previous layer
+ * @param output activation rows to the next layer (pre-sized to
+ *        input.size(); must not overlap @p input)
  */
 void layerForward(LayerParamsView params, ConstTensorView input,
                   TensorView output);

@@ -8,10 +8,14 @@
  * order: reductions go through the fixed-shape pairwise trees in
  * tensor/kernels/reduce.h (never an ad-hoc sequential loop — the
  * float-reduce-outside-kernels lint enforces this), elementwise ops
- * iterate in index order, and nothing ever depends on the platform's
- * math library beyond IEEE-754 basic operations and tanhf/expf
- * (which are deterministic for a fixed libm, mirroring the paper's
- * reliance on deterministic CUDA kernels). Storage precision is a
+ * iterate in index order, and the only transcendental is
+ * kernels::tanh (tensor/kernels/tanh.h), an fdlibm transcription in
+ * this repo. Nothing depends on the platform's math library: every
+ * trained bit follows from IEEE-754 basic operations under the
+ * repo's own code, built without FMA contraction
+ * (-ffp-contract=off), on any host and libm. The
+ * libm-transcendental-outside-kernels lint keeps libm out of src/.
+ * Storage precision is a
  * run-level mode (tensor/kernels/precision.h): fp32, or fp16_rne
  * half-rounded storage with fp32 compute.
  *

@@ -6,6 +6,7 @@
 #include "common/logging.h"
 #include "common/rng.h"
 #include "tensor/kernels/reduce.h"
+#include "tensor/kernels/tanh.h"
 #include "tensor/loss.h"
 
 namespace naspipe {
@@ -84,7 +85,8 @@ NumericExecutor::fillTeacherTarget(TensorView out,
                                    ConstTensorView input) const
 {
     for (std::size_t i = 0; i < kLayerDim; i++)
-        out[i] = std::tanh(_teacherA[i] * input[i] + _teacherB[i]);
+        out[i] = _teacherA[i] * input[i] + _teacherB[i];
+    kernels::tanh(out.data(), out.data(), kLayerDim);
 }
 
 void
@@ -347,22 +349,31 @@ NumericExecutor::evaluate(const Subnet &subnet, const EvalSet &eval)
     NASPIPE_ASSERT(!eval.inputs.empty() &&
                        eval.inputs.size() == eval.targets.size(),
                    "need >= 1 eval batch with a target each");
-    std::vector<float> losses(eval.inputs.size());
-    float actBuf[kLayerDim];
-    float nextBuf[kLayerDim];
-    TensorView act(actBuf, kLayerDim);
-    TensorView next(nextBuf, kLayerDim);
-    for (std::size_t e = 0; e < eval.inputs.size(); e++) {
-        act.copyFrom(eval.inputs[e]);
-        for (int b = 0; b < subnet.size(); b++) {
-            if (!_store.space().parameterized(b, subnet.choice(b)))
-                continue;  // identity passthrough
-            layerForward(_store.peek(subnet.layer(b)), act, next);
-            quantizeStored(next);
-            std::swap(act, next);
-        }
+    // All batches advance together, one row each, so every layer is
+    // one layerForward call (one parameter peek, one tanh kernel call)
+    // for the whole set. Rows never mix, so each batch's loss has the
+    // bits it would have if evaluated alone.
+    const std::size_t batches = eval.inputs.size();
+    std::vector<float> buffer(2 * batches * kLayerDim);
+    TensorView act(buffer.data(), batches * kLayerDim);
+    TensorView next(buffer.data() + batches * kLayerDim,
+                    batches * kLayerDim);
+    for (std::size_t e = 0; e < batches; e++) {
+        TensorView(act.data() + e * kLayerDim, kLayerDim)
+            .copyFrom(eval.inputs[e]);
+    }
+    for (int b = 0; b < subnet.size(); b++) {
+        if (!_store.space().parameterized(b, subnet.choice(b)))
+            continue;  // identity passthrough
+        layerForward(_store.peek(subnet.layer(b)), act, next);
+        quantizeStored(next);
+        std::swap(act, next);
+    }
+    std::vector<float> losses(batches);
+    for (std::size_t e = 0; e < batches; e++) {
+        ConstTensorView out(act.data() + e * kLayerDim, kLayerDim);
         losses[e] = kernels::quantize(_config.precision,
-                                      mseLoss(act, eval.targets[e]));
+                                      mseLoss(out, eval.targets[e]));
     }
     // Batch losses combine in the same fixed tree as every other
     // reduction; no raw float accumulation outside the kernel layer.

@@ -158,7 +158,9 @@ class NumericExecutor
 
     /**
      * Evaluation-only loss of @p subnet on @p eval (no logging, no
-     * updates). Used for subnet scoring.
+     * updates). Used for subnet scoring. The batches go through each
+     * layer together, as rows of one layerForward call; each batch's
+     * loss has the bits it would have alone.
      */
     float evaluate(const Subnet &subnet, const EvalSet &eval);
 

@@ -82,6 +82,31 @@ TEST(Predictor, ForwardBranchReleasesPendingBackward)
     EXPECT_TRUE(predictor.blocked().empty());
 }
 
+TEST(Predictor, DropsPendingBackwardsThatCanNeverBeReleased)
+{
+    // A record whose precedence forward already ran on the stage, or
+    // whose subnet already finished here, is never released, so it is
+    // not kept (nor counted); the rest are recorded as before.
+    MockStage stage(1, 2, 1, 1);
+    stage.addSubnet(sn(0, {0, 0}));
+    stage.addSubnet(sn(1, {1, 1}));
+    stage.finish(0);
+    Predictor predictor;
+    FetchRecorder rec;
+    predictor.beforeForward(stage, 1, rec.fn());
+    predictor.beforeBackward(stage, 0, {{0, 0}, {1, 1}, {2, 2}},
+                             rec.fn());
+    EXPECT_EQ(predictor.blocked(),
+              (std::vector<PendingBackward>{{2, 2}}));
+    EXPECT_EQ(predictor.stats().pendingRecorded, 1u);
+    // Once SN2's forward runs its record is released, and a late
+    // carrier of it records nothing.
+    predictor.beforeForward(stage, 2, rec.fn());
+    predictor.beforeBackward(stage, 0, {{2, 2}}, rec.fn());
+    EXPECT_TRUE(predictor.blocked().empty());
+    EXPECT_EQ(predictor.stats().pendingRecorded, 1u);
+}
+
 TEST(Predictor, ForwardBranchPredictsNextForward)
 {
     MockStage stage(0, 2, 0, 1);

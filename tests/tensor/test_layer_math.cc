@@ -77,6 +77,47 @@ TEST(LayerMath, ForwardDeterministic)
     EXPECT_TRUE(out1.bitwiseEqual(out2));
 }
 
+TEST(LayerMath, ForwardMatchesOnePassFormulaBitwise)
+{
+    // The three-pass layout (z, kernel tanh, residual) gives every
+    // element the one-pass formula's operations in the same order.
+    LayerParams p = makeParams();
+    Tensor in = makeInput(-0.8f);
+    Tensor out(kLayerDim);
+    layerForward(p, in, out);
+    for (std::size_t i = 0; i < kLayerDim; i++) {
+        std::size_t j = (i + 1) % kLayerDim;
+        float z = p.weight[i] * in[i] + kMixCoeff * p.weight[j] +
+                  p.bias[i];
+        float want = in[i] + kResidual * std::tanh(z);
+        EXPECT_EQ(out[i], want) << "element " << i;
+    }
+}
+
+TEST(LayerMath, ForwardRowsEqualOneRowCalls)
+{
+    // Rows share the parameters and never mix: a 3-row call is three
+    // one-row calls, bit for bit.
+    LayerParams p = makeParams();
+    Tensor rows(3 * kLayerDim), out(3 * kLayerDim);
+    for (std::size_t r = 0; r < 3; r++) {
+        Tensor in = makeInput(0.2f - 0.35f * static_cast<float>(r));
+        for (std::size_t i = 0; i < kLayerDim; i++)
+            rows[r * kLayerDim + i] = in[i];
+    }
+    layerForward(p, rows, out);
+    for (std::size_t r = 0; r < 3; r++) {
+        Tensor in(kLayerDim), one(kLayerDim);
+        for (std::size_t i = 0; i < kLayerDim; i++)
+            in[i] = rows[r * kLayerDim + i];
+        layerForward(p, in, one);
+        for (std::size_t i = 0; i < kLayerDim; i++)
+            EXPECT_EQ(out[r * kLayerDim + i], one[i]) << r << "," << i;
+    }
+    Tensor ragged(kLayerDim + 1);
+    EXPECT_THROW(layerForward(p, ragged, ragged), std::logic_error);
+}
+
 TEST(LayerMath, ForwardDependsOnMixedWeight)
 {
     // The w_{i+1} coupling term must matter: changing weight[1]

@@ -43,6 +43,7 @@ TEST(LintRules, TableListsEveryRule)
                   "unordered-iteration", "raw-random",
                   "pointer-key-container", "det-suppression",
                   "wall-clock", "float-reduce-outside-kernels",
+                  "libm-transcendental-outside-kernels",
                   "relaxed-memory-order", "raw-mutex",
                   "lock-rank-order", "lock-cycle",
                   "blocking-under-lock", "unknown-lock-rank",
@@ -191,6 +192,42 @@ TEST(LintRules, FloatReduceFiresOnStdAccumulate)
                   "1.0f);\n")),
               std::vector<std::string>{
                   "float-reduce-outside-kernels"});
+}
+
+TEST(LintRules, LibmTranscendentalFiresInSrcOutsideKernels)
+{
+    const std::vector<std::string> rule = {
+        "libm-transcendental-outside-kernels"};
+    EXPECT_EQ(rulesOf(scanSource("src/tensor/layer_math.cc",
+                                 "float t = std::tanh(z);\n")),
+              rule);
+    EXPECT_EQ(rulesOf(scanSource("src/train/x.cc",
+                                 "out[i] = tanhf(a * x + b);\n")),
+              rule);
+    EXPECT_EQ(rulesOf(scanSource("src/a.cc",
+                                 "double g = std :: exp(-x);\n")),
+              rule);
+    EXPECT_EQ(rulesOf(scanSource("src/a.cc", "float e = expf(x);\n")),
+              rule);
+}
+
+TEST(LintRules, LibmTranscendentalSkipsKernelsAndOtherTrees)
+{
+    std::string src = "float t = std::tanh(z);\n";
+    // The kernel layer owns the transcendentals; tests compare
+    // against libm on purpose; tools are outside the numeric plane.
+    EXPECT_TRUE(scanSource("src/tensor/kernels/tanh.cc", src).empty());
+    EXPECT_TRUE(
+        scanSource("tests/tensor/test_tanh_kernel.cc", src).empty());
+    EXPECT_TRUE(scanSource("tools/some_tool.cc", src).empty());
+    // Comments, strings, kernels::tanh and longer names never fire.
+    EXPECT_TRUE(scanSource("src/a.cc",
+                           "// std::tanh is banned here\n"
+                           "const char *s = \"expf\";\n"
+                           "kernels::tanh(z, z, n);\n"
+                           "std::exponential_distribution<> d;\n"
+                           "double e = std::expm1(x);\n")
+                    .empty());
 }
 
 TEST(LintRules, FloatReduceSkipsKernelsAndNonReductions)

@@ -14,6 +14,8 @@ constexpr const char *kPointerKeyContainer = "pointer-key-container";
 constexpr const char *kDetSuppression = "det-suppression";
 constexpr const char *kWallClock = "wall-clock";
 constexpr const char *kFloatReduce = "float-reduce-outside-kernels";
+constexpr const char *kLibmTranscendental =
+    "libm-transcendental-outside-kernels";
 
 /**
  * Variables declared as unordered containers in this file. Matches
@@ -162,6 +164,11 @@ lineRuleTable()
          "summation order is part of the bitwise numeric contract; "
          "route reductions through kernels::treeSum/treeDot so the "
          "tree shape stays specified in one place"},
+        {kLibmTranscendental,
+         "std::tanh/tanhf/std::exp/expf in src/ outside "
+         "src/tensor/kernels/ — the host libm's bits are not part of "
+         "the numeric contract; call kernels::tanh, whose bits are "
+         "fixed by this repo (DESIGN.md §12)"},
     };
     return kTable;
 }
@@ -178,6 +185,8 @@ runLineRules(const SourceFile &file)
                              pathContains(file.path, "bench/");
     const bool inKernelHome =
         pathContains(file.path, "src/tensor/kernels/");
+    const bool checksLibm = pathContains(file.path, "src/") &&
+                            !inKernelHome;
 
     std::vector<Finding> findings;
     auto add = [&](std::size_t idx, const char *rule) {
@@ -196,6 +205,8 @@ runLineRules(const SourceFile &file)
     static const std::regex todoDet(R"(TODO\s*\(\s*det\s*\))");
     static const std::regex wallClock(
         R"(\b(?:steady_clock|system_clock|high_resolution_clock)\b)");
+    static const std::regex libmTranscendental(
+        R"(\bstd\s*::\s*(?:tanh|exp)\b|\b(?:tanhf|expf)\b)");
 
     for (std::size_t i = 0; i < lines.code.size(); i++) {
         const std::string &code = lines.code[i];
@@ -224,6 +235,8 @@ runLineRules(const SourceFile &file)
             add(i, kPointerKeyContainer);
         if (!inClockHome && std::regex_search(code, wallClock))
             add(i, kWallClock);
+        if (checksLibm && std::regex_search(code, libmTranscendental))
+            add(i, kLibmTranscendental);
         if (std::regex_search(raw, todoDet))
             add(i, kDetSuppression);
     }

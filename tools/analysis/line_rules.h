@@ -6,8 +6,9 @@
  * history show corrupt results without crashing: hash-order iteration
  * feeding schedule/commit decisions, ambient randomness outside the
  * seeded RNG, address-ordered containers, wall-clock reads outside
- * the observability layer, and catch-all determinism deferral
- * comments. Each rule is a pure function of one SourceFile; the
+ * the observability layer, catch-all determinism deferral
+ * comments, and the numeric plane's two kernel-only disciplines
+ * (tree reductions, and no libm transcendental outside the kernels). Each rule is a pure function of one SourceFile; the
  * whole-program passes live in atomics_pass.* and lock_pass.*.
  */
 
