@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/logging.h"
+#include "tensor/kernels/philox.h"
 
 namespace naspipe {
 
@@ -142,17 +143,14 @@ Xoshiro256StarStar::jump()
 
 namespace {
 
-constexpr std::uint32_t kPhiloxM0 = 0xD2511F53u;
-constexpr std::uint32_t kPhiloxM1 = 0xCD9E8D57u;
-constexpr std::uint32_t kPhiloxW0 = 0x9E3779B9u;
-constexpr std::uint32_t kPhiloxW1 = 0xBB67AE85u;
-
 inline void
 philoxRound(std::array<std::uint32_t, 4> &ctr, std::uint32_t k0,
             std::uint32_t k1)
 {
-    std::uint64_t p0 = static_cast<std::uint64_t>(kPhiloxM0) * ctr[0];
-    std::uint64_t p1 = static_cast<std::uint64_t>(kPhiloxM1) * ctr[2];
+    std::uint64_t p0 =
+        static_cast<std::uint64_t>(Philox4x32::kM0) * ctr[0];
+    std::uint64_t p1 =
+        static_cast<std::uint64_t>(Philox4x32::kM1) * ctr[2];
     std::uint32_t hi0 = static_cast<std::uint32_t>(p0 >> 32);
     std::uint32_t lo0 = static_cast<std::uint32_t>(p0);
     std::uint32_t hi1 = static_cast<std::uint32_t>(p1 >> 32);
@@ -182,8 +180,8 @@ Philox4x32::block(std::uint64_t counter) const
     std::uint32_t k1 = static_cast<std::uint32_t>(_key >> 32);
     for (int round = 0; round < 10; round++) {
         philoxRound(ctr, k0, k1);
-        k0 += kPhiloxW0;
-        k1 += kPhiloxW1;
+        k0 += kW0;
+        k1 += kW1;
     }
     return ctr;
 }
@@ -207,6 +205,13 @@ Philox4x32::uniformFloats(std::uint64_t counter) const
     Block words = block(counter);
     return {laneFloat(words[0]), laneFloat(words[1]), laneFloat(words[2]),
             laneFloat(words[3])};
+}
+
+void
+Philox4x32::uniformFloats(std::uint64_t first, std::size_t n,
+                          float *lane0, float *lane1) const
+{
+    kernels::philoxUniformFloats(_key, first, n, lane0, lane1);
 }
 
 std::uint64_t

@@ -99,6 +99,12 @@ class Philox4x32
   public:
     using Block = std::array<std::uint32_t, 4>;
 
+    /** Round multipliers and Weyl key increments of Philox4x32. */
+    static constexpr std::uint32_t kM0 = 0xD2511F53u;
+    static constexpr std::uint32_t kM1 = 0xCD9E8D57u;
+    static constexpr std::uint32_t kW0 = 0x9E3779B9u;
+    static constexpr std::uint32_t kW1 = 0xBB67AE85u;
+
     /** Construct with a 64-bit key. */
     explicit Philox4x32(std::uint64_t key) : _key(key) {}
 
@@ -116,6 +122,15 @@ class Philox4x32
      * uniformFloat(counter, k), at the cost of a single block().
      */
     std::array<float, 4> uniformFloats(std::uint64_t counter) const;
+
+    /**
+     * Lanes 0 and 1 of the blocks for counters first … first+n-1:
+     * lane0[i] = uniformFloat(first + i, 0) and, unless @p lane1 is
+     * null, lane1[i] = uniformFloat(first + i, 1). Runs in vector
+     * lanes (tensor/kernels/philox.h) with the same bits.
+     */
+    void uniformFloats(std::uint64_t first, std::size_t n, float *lane0,
+                       float *lane1) const;
 
   private:
     std::uint64_t _key;

@@ -20,7 +20,11 @@
  * and backward computes exact gradients of that function. Both run in
  * three passes — every z_i, one kernels::tanh call over the vector,
  * then the residual (forward) or dz (backward) — which gives each
- * element the one-pass formula's operations in the same order.
+ * element the one-pass formula's operations in the same order. The
+ * neighbour products kMix * w_{i+1} (and kMix * dz_{i-1} in the
+ * gradient) are built once per call as a row with the wrap element
+ * peeled, so no loop indexes modulo kLayerDim and every loop
+ * vectorizes; a product rounds the same in a row as inline.
  *
  * The passes take non-owning views (LayerParamsView / LayerGradsView)
  * so the training engine can run them over arena-backed storage with
@@ -70,7 +74,6 @@ struct LayerGrads {
     LayerGrads();
 
     void clear();
-    void accumulate(const LayerGrads &other);
 };
 
 /** Non-owning read view of one layer's parameters. */
@@ -124,12 +127,17 @@ void initLayerParams(LayerParams &params, std::uint64_t seed,
  * @param input activation rows from the previous layer
  * @param output activation rows to the next layer (pre-sized to
  *        input.size(); must not overlap @p input)
+ * @param tanhOut when not empty, receives tanh(z) of every row
+ *        (pre-sized to input.size(); overlaps neither @p input nor
+ *        @p output), so a later layerBackwardFromTanh over the same
+ *        parameters and input can skip the recomputation
  */
 void layerForward(LayerParamsView params, ConstTensorView input,
-                  TensorView output);
+                  TensorView output, TensorView tanhOut = TensorView());
 
 /**
- * Backward pass: exact gradients of layerForward.
+ * Backward pass: exact gradients of layerForward. Recomputes tanh(z)
+ * from @p params and @p input, then runs layerBackwardFromTanh.
  * @param params parameters used for the recomputation
  * @param input the forward input activation
  * @param gradOutput dL/d output
@@ -141,6 +149,17 @@ void layerForward(LayerParamsView params, ConstTensorView input,
 void layerBackward(LayerParamsView params, ConstTensorView input,
                    ConstTensorView gradOutput, TensorView gradInput,
                    LayerGradsView grads);
+
+/**
+ * layerBackward's gradient tail given @p tanhZ = tanh(z) of @p params
+ * and @p input, as layerForward's tanhOut wrote it. Bitwise equal to
+ * layerBackward when @p tanhZ came from the same parameters and input;
+ * gradInput and the grads must not overlap any input.
+ */
+void layerBackwardFromTanh(LayerParamsView params, ConstTensorView input,
+                           ConstTensorView tanhZ,
+                           ConstTensorView gradOutput,
+                           TensorView gradInput, LayerGradsView grads);
 
 } // namespace naspipe
 

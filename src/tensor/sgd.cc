@@ -8,55 +8,25 @@ SgdOptimizer::SgdOptimizer(const SgdConfig &config) : _config(config)
 {
     NASPIPE_ASSERT(config.learningRate > 0.0f,
                    "learning rate must be positive");
-    NASPIPE_ASSERT(config.momentum >= 0.0f && config.momentum < 1.0f,
-                   "momentum must be in [0, 1)");
 }
 
 void
-SgdOptimizer::applyOne(TensorView param, ConstTensorView grad,
-                       TensorView *velocity) const
+SgdOptimizer::applyOne(TensorView param, ConstTensorView grad) const
 {
     NASPIPE_ASSERT(param.size() == grad.size(),
                    "optimizer shape mismatch");
-    for (std::size_t i = 0; i < param.size(); i++) {
-        float g = grad[i];
-        if (_config.clipNorm > 0.0f) {
-            if (g > _config.clipNorm)
-                g = _config.clipNorm;
-            else if (g < -_config.clipNorm)
-                g = -_config.clipNorm;
-        }
-        if (velocity) {
-            float v = _config.momentum * (*velocity)[i] + g;
-            (*velocity)[i] = v;
-            g = v;
-        }
-        param[i] -= _config.learningRate * g;
-    }
-}
-
-void
-SgdOptimizer::step(LayerParams &params, const LayerGrads &grads,
-                   LayerGrads &velocity) const
-{
-    if (_config.momentum > 0.0f) {
-        TensorView vw(velocity.weight);
-        TensorView vb(velocity.bias);
-        applyOne(params.weight, grads.weight, &vw);
-        applyOne(params.bias, grads.bias, &vb);
-    } else {
-        applyOne(params.weight, grads.weight, nullptr);
-        applyOne(params.bias, grads.bias, nullptr);
-    }
+    float *__restrict p = param.data();
+    const float *g = grad.data();
+    const float lr = _config.learningRate;
+    for (std::size_t i = 0; i < param.size(); i++)
+        p[i] -= lr * g[i];
 }
 
 void
 SgdOptimizer::step(LayerParams &params, const LayerGrads &grads) const
 {
-    NASPIPE_ASSERT(_config.momentum == 0.0f,
-                   "momentum requires a velocity buffer");
-    applyOne(params.weight, grads.weight, nullptr);
-    applyOne(params.bias, grads.bias, nullptr);
+    applyOne(params.weight, grads.weight);
+    applyOne(params.bias, grads.bias);
 }
 
 void
@@ -64,10 +34,8 @@ SgdOptimizer::stepView(TensorView weight, TensorView bias,
                        ConstTensorView gradWeight,
                        ConstTensorView gradBias) const
 {
-    NASPIPE_ASSERT(_config.momentum == 0.0f,
-                   "momentum requires a velocity buffer");
-    applyOne(weight, gradWeight, nullptr);
-    applyOne(bias, gradBias, nullptr);
+    applyOne(weight, gradWeight);
+    applyOne(bias, gradBias);
 }
 
 } // namespace naspipe

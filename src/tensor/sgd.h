@@ -2,9 +2,9 @@
  * @file
  * Deterministic SGD optimizer.
  *
- * Updates are applied in index order with optional momentum and
- * gradient clipping. Update time is part of the causal-dependency
- * semantics: a layer's WRITE happens when its optimizer step runs.
+ * Updates are applied in index order, param -= lr * grad per
+ * element. Update time is part of the causal-dependency semantics: a
+ * layer's WRITE happens when its optimizer step runs.
  */
 
 #ifndef NASPIPE_TENSOR_SGD_H
@@ -19,8 +19,6 @@ namespace naspipe {
 /** SGD hyperparameters. */
 struct SgdConfig {
     float learningRate = 0.05f;
-    float momentum = 0.0f;     ///< 0 disables the velocity buffer
-    float clipNorm = 0.0f;     ///< 0 disables elementwise clipping
 };
 
 /**
@@ -31,19 +29,11 @@ class SgdOptimizer
   public:
     explicit SgdOptimizer(const SgdConfig &config = SgdConfig());
 
-    /**
-     * Apply one step: params -= lr * grads (with momentum/clip if
-     * configured). Velocity buffers are lazily allocated per call
-     * site via @p velocity (pass the same object across steps).
-     */
-    void step(LayerParams &params, const LayerGrads &grads,
-              LayerGrads &velocity) const;
-
-    /** Momentum-free convenience overload. */
+    /** Apply one step: params -= lr * grads. */
     void step(LayerParams &params, const LayerGrads &grads) const;
 
     /**
-     * Momentum-free step over raw views — the zero-copy hot path the
+     * The same step over raw views — the zero-copy hot path the
      * training engine drives with arena- or stack-backed gradients.
      */
     void stepView(TensorView weight, TensorView bias,
@@ -53,8 +43,7 @@ class SgdOptimizer
     const SgdConfig &config() const { return _config; }
 
   private:
-    void applyOne(TensorView param, ConstTensorView grad,
-                  TensorView *velocity) const;
+    void applyOne(TensorView param, ConstTensorView grad) const;
 
     SgdConfig _config;
 };

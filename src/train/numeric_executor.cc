@@ -55,10 +55,11 @@ NumericExecutor::NumericExecutor(ParameterStore &store,
     NASPIPE_ASSERT(config.precision == store.precision(),
                    "executor/store precision mismatch");
     Philox4x32 teacher(deriveSeed(config.dataSeed, "teacher"));
+    teacher.uniformFloats(0, kLayerDim, _teacherA.data(),
+                          _teacherB.data());
     for (std::size_t i = 0; i < kLayerDim; i++) {
-        std::array<float, 4> u = teacher.uniformFloats(i);
-        _teacherA[i] = 0.5f + u[0];  // (0.5, 1.5)
-        _teacherB[i] = u[1] - 0.5f;  // (-0.5, 0.5)
+        _teacherA[i] = 0.5f + _teacherA[i];  // (0.5, 1.5)
+        _teacherB[i] = _teacherB[i] - 0.5f;  // (-0.5, 0.5)
     }
 }
 
@@ -69,8 +70,10 @@ NumericExecutor::fillDigest(TensorView out, SubnetId id,
     Philox4x32 philox(deriveSeed(_config.dataSeed, tag));
     std::uint64_t base =
         static_cast<std::uint64_t>(id) * kLayerDim + salt * (1ULL << 40);
+    float *u = out.data();
+    philox.uniformFloats(base, kLayerDim, u, nullptr);
     for (std::size_t i = 0; i < kLayerDim; i++)
-        out[i] = 2.0f * philox.uniformFloat(base + i) - 1.0f;
+        u[i] = 2.0f * u[i] - 1.0f;
 }
 
 /**
@@ -84,9 +87,11 @@ void
 NumericExecutor::fillTeacherTarget(TensorView out,
                                    ConstTensorView input) const
 {
+    float *t = out.data();
+    const float *in = input.data();
     for (std::size_t i = 0; i < kLayerDim; i++)
-        out[i] = _teacherA[i] * input[i] + _teacherB[i];
-    kernels::tanh(out.data(), out.data(), kLayerDim);
+        t[i] = _teacherA[i] * in[i] + _teacherB[i];
+    kernels::tanh(t, t, kLayerDim);
 }
 
 void
@@ -103,6 +108,7 @@ NumericExecutor::beginSubnet(const Subnet &subnet)
     ctx.act.reserve(blocks + 1);
     for (std::size_t b = 0; b <= blocks; b++)
         ctx.act.push_back(ctx.arena.allocVector(kLayerDim));
+    ctx.fwd.resize(blocks);
     ctx.target = ctx.arena.allocVector(kLayerDim);
     ctx.gradCursor = ctx.arena.allocVector(kLayerDim);
     ctx.gradScratch = ctx.arena.allocVector(kLayerDim);
@@ -146,6 +152,9 @@ NumericExecutor::forwardStage(const Subnet &subnet, int lo, int hi,
         LayerId layer = subnet.layer(b);
         const LayerParams &params =
             _store.read(layer, subnet.id(), stage);
+        SubnetContext::ForwardRecord &record = ctx.fwd[bi];
+        record.tanhZ = ctx.arena.allocVector(kLayerDim);
+        record.version = _store.version(layer);
         if (semantics == UpdateSemantics::WeightStash &&
             ctx.stashed.find(b) == ctx.stashed.end()) {
             // Snapshot the version into the subnet's arena.
@@ -155,7 +164,8 @@ NumericExecutor::forwardStage(const Subnet &subnet, int lo, int hi,
             bia.copyFrom(params.bias);
             ctx.stashed.emplace(b, LayerParamsView(w, bia));
         }
-        layerForward(params, ctx.act[bi], ctx.act[bi + 1]);
+        layerForward(params, ctx.act[bi], ctx.act[bi + 1],
+                     record.tanhZ);
         quantizeStored(ctx.act[bi + 1]);
     }
     ctx.fwdProgress = hi + 1;
@@ -198,10 +208,14 @@ NumericExecutor::applyUpdate(const Subnet &subnet, int block,
             (static_cast<std::uint64_t>(block) << 12);
         float noisyW[kLayerDim];
         float noisyB[kLayerDim];
+        // The buffers first take the uniform draws (lanes 0 and 1 of
+        // counters base … base + 63), then the noisy gradients.
+        _gradNoise.uniformFloats(base, kLayerDim, noisyW, noisyB);
+        const float *gw = gradWeight.data();
+        const float *gb = gradBias.data();
         for (std::size_t i = 0; i < kLayerDim; i++) {
-            std::array<float, 4> u = _gradNoise.uniformFloats(base + i);
-            noisyW[i] = gradWeight[i] + scale * (2.0f * u[0] - 1.0f);
-            noisyB[i] = gradBias[i] + scale * (2.0f * u[1] - 1.0f);
+            noisyW[i] = gw[i] + scale * (2.0f * noisyW[i] - 1.0f);
+            noisyB[i] = gb[i] + scale * (2.0f * noisyB[i] - 1.0f);
         }
         _optimizer.stepView(params.weight, params.bias,
                             ConstTensorView(noisyW, kLayerDim),
@@ -244,8 +258,16 @@ NumericExecutor::backwardStage(const Subnet &subnet, int lo, int hi,
         }
         grads.clear();
 
+        // The forward's tanh(z) is reused whenever the gradient
+        // source is the parameters the forward read: always under
+        // WeightStash (the stash is that copy), otherwise while no
+        // WRITE has landed on the layer since (its version is
+        // unchanged, as CSP guarantees).
+        const std::size_t bi = static_cast<std::size_t>(b);
+        const SubnetContext::ForwardRecord &record = ctx.fwd[bi];
         LayerParamsView gradSource{ConstTensorView(),
                                    ConstTensorView()};
+        bool reuseTanh = true;
         if (semantics == UpdateSemantics::WeightStash) {
             auto it = ctx.stashed.find(b);
             NASPIPE_ASSERT(it != ctx.stashed.end(),
@@ -255,11 +277,17 @@ NumericExecutor::backwardStage(const Subnet &subnet, int lo, int hi,
             // Recompute semantics: gradients use the parameters
             // current at backward time (PyTorch checkpoint).
             gradSource = LayerParamsView(_store.peek(layer));
+            reuseTanh = _store.version(layer) == record.version;
         }
 
-        layerBackward(gradSource,
-                      ctx.act[static_cast<std::size_t>(b)],
-                      ctx.gradCursor, ctx.gradScratch, grads);
+        if (reuseTanh) {
+            layerBackwardFromTanh(gradSource, ctx.act[bi], record.tanhZ,
+                                  ctx.gradCursor, ctx.gradScratch,
+                                  grads);
+        } else {
+            layerBackward(gradSource, ctx.act[bi], ctx.gradCursor,
+                          ctx.gradScratch, grads);
+        }
         quantizeStored(ctx.gradScratch);
         if (_config.precision != kernels::PrecisionMode::Fp32) {
             quantizeStored(grads.weight);
@@ -330,8 +358,10 @@ NumericExecutor::makeEvalSet(std::uint64_t evalSeed,
         std::uint64_t base = static_cast<std::uint64_t>(e) * 2 *
                              kLayerDim;
         Tensor input(kLayerDim);
+        float *u = input.data().data();
+        philox.uniformFloats(base, kLayerDim, u, nullptr);
         for (std::size_t i = 0; i < kLayerDim; i++)
-            input[i] = 2.0f * philox.uniformFloat(base + i) - 1.0f;
+            u[i] = 2.0f * u[i] - 1.0f;
         quantizeStored(input);
         // Held-out inputs, same teacher: a real generalization probe.
         Tensor target(kLayerDim);

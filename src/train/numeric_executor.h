@@ -22,13 +22,13 @@
  * the numeric trajectory, which keeps cross-GPU-count comparisons
  * meaningful.
  *
- * All per-subnet numeric state — activations, gradient cursors,
- * weight stashes, deferred gradients — lives in a per-subnet bump
- * Arena and is addressed through TensorViews, so the steady-state
- * forward/backward path performs no heap allocation and no vector
- * copies. Under Config::precision == Fp16Rne every stored value is
- * rounded through binary16 (see tensor/kernels/precision.h); the
- * arithmetic itself stays binary32.
+ * All per-subnet numeric state — activations, each forward's
+ * tanh(z), gradient cursors, weight stashes, deferred gradients —
+ * lives in a per-subnet bump Arena and is addressed through
+ * TensorViews, so the steady-state forward/backward path performs
+ * no heap allocation and no vector copies. Under Config::precision
+ * == Fp16Rne every stored value is rounded through binary16 (see
+ * tensor/kernels/precision.h); the arithmetic itself stays binary32.
  */
 
 #ifndef NASPIPE_TRAIN_NUMERIC_EXECUTOR_H
@@ -202,9 +202,19 @@ class NumericExecutor
      * dies at finishSubnet, so no view outlives its storage.
      */
     struct SubnetContext {
+        /**
+         * What a block's forward leaves for its backward: tanh(z)
+         * and the store version of the layer it read.
+         */
+        struct ForwardRecord {
+            TensorView tanhZ;
+            std::uint64_t version = 0;
+        };
+
         Subnet subnet;
         Arena arena;
         std::vector<TensorView> act; ///< act[b] = input to block b
+        std::vector<ForwardRecord> fwd; ///< per parameterized block
         TensorView gradCursor;   ///< dL/d act at the backward front
         TensorView gradScratch;  ///< backward ping-pong buffer
         TensorView target;

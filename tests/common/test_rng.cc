@@ -9,8 +9,10 @@
 #include <array>
 #include <map>
 #include <set>
+#include <vector>
 
 #include "common/rng.h"
+#include "tensor/kernels/philox.h"
 
 namespace naspipe {
 namespace {
@@ -194,6 +196,115 @@ TEST(Philox, UniformFloatsMatchesEveryLane)
             ASSERT_EQ(lanes[lane], p.uniformFloat(counter, lane))
                 << "counter " << counter << " lane " << lane;
         }
+    }
+}
+
+/** Every lane width of the batched draw this host can run. */
+std::vector<int>
+philoxWidths()
+{
+    std::vector<int> widths;
+    for (int lanes : {1, 4, 8}) {
+        if (lanes == 1 || lanes <= kernels::philoxLaneWidth())
+            widths.push_back(lanes);
+    }
+    return widths;
+}
+
+/**
+ * The batched draw at @p lanes over [first, first + n) against
+ * block(): lanes 0 and 1 at every counter, and nothing written past
+ * n.
+ */
+void
+expectBatchMatchesBlocks(int lanes, std::uint64_t key,
+                         std::uint64_t first, std::size_t n)
+{
+    const float sentinel = -1.0f;
+    std::vector<float> lane0(n + 8, sentinel), lane1(n + 8, sentinel);
+    kernels::philoxAtWidth(lanes, key, first, n, lane0.data(),
+                           lane1.data());
+    Philox4x32 p(key);
+    for (std::size_t i = 0; i < n; i++) {
+        Philox4x32::Block words = p.block(first + i);
+        ASSERT_EQ(lane0[i], static_cast<float>(words[0] >> 8) * 0x1.0p-24f)
+            << lanes << " lanes, first " << first << " + " << i;
+        ASSERT_EQ(lane1[i], static_cast<float>(words[1] >> 8) * 0x1.0p-24f)
+            << lanes << " lanes, first " << first << " + " << i;
+    }
+    for (std::size_t i = n; i < n + 8; i++) {
+        ASSERT_EQ(lane0[i], sentinel) << lanes << " lanes, n " << n;
+        ASSERT_EQ(lane1[i], sentinel) << lanes << " lanes, n " << n;
+    }
+}
+
+TEST(PhiloxBatch, EveryWidthMatchesBlockLanes)
+{
+    for (int lanes : philoxWidths()) {
+        for (std::size_t n = 0; n < 20; n++) {
+            expectBatchMatchesBlocks(lanes, 0x5eed, 0, n);
+            expectBatchMatchesBlocks(lanes, 0xdeadbeefcafef00dULL,
+                                     0x123456789abULL + 37 * n, n);
+            expectBatchMatchesBlocks(lanes, 7, (1ULL << 40) | 3, n);
+        }
+        expectBatchMatchesBlocks(lanes, 99, 1000, 64);
+    }
+}
+
+TEST(PhiloxBatch, CarriesAcrossTheLowWord)
+{
+    // Counters whose low word wraps inside one vector: the high word
+    // must carry in exactly the lanes past the wrap, and the 64-bit
+    // counter wraps to 0.
+    for (int lanes : philoxWidths()) {
+        for (std::size_t n = 1; n < 20; n++) {
+            expectBatchMatchesBlocks(lanes, 0x5eed, 0xfffffffbULL, n);
+            expectBatchMatchesBlocks(lanes, 0x5eed, 0x7fffffffeULL, n);
+            expectBatchMatchesBlocks(lanes, 0x5eed,
+                                     0xfffffffffffffffbULL, n);
+        }
+    }
+}
+
+TEST(PhiloxBatch, Random123KnownAnswer)
+{
+    // Key 0, counter 0 of the Random123 vector: lanes 0 and 1 are
+    // 0x6627e8d5 and 0xe169c58d.
+    for (int lanes : philoxWidths()) {
+        float lane0[3], lane1[3];
+        kernels::philoxAtWidth(lanes, 0, 0, 3, lane0, lane1);
+        EXPECT_EQ(lane0[0], static_cast<float>(0x6627e8d5u >> 8) *
+                                0x1.0p-24f)
+            << lanes << " lanes";
+        EXPECT_EQ(lane1[0], static_cast<float>(0xe169c58du >> 8) *
+                                0x1.0p-24f)
+            << lanes << " lanes";
+    }
+}
+
+TEST(PhiloxBatch, MemberDrawsAtTheWidestWidthAndLane1IsOptional)
+{
+    Philox4x32 p(0xabcdef);
+    float lane0[37], lane1[37], alone[37];
+    p.uniformFloats(12345, 37, lane0, lane1);
+    p.uniformFloats(12345, 37, alone, nullptr);
+    for (std::size_t i = 0; i < 37; i++) {
+        EXPECT_EQ(lane0[i], p.uniformFloat(12345 + i, 0)) << i;
+        EXPECT_EQ(lane1[i], p.uniformFloat(12345 + i, 1)) << i;
+        EXPECT_EQ(alone[i], lane0[i]) << i;
+    }
+}
+
+TEST(PhiloxBatch, RejectsWidthsTheHostCannotRun)
+{
+    float out[8];
+    EXPECT_THROW(kernels::philoxAtWidth(2, 1, 0, 8, out, nullptr),
+                 std::logic_error);
+    EXPECT_THROW(kernels::philoxAtWidth(16, 1, 0, 8, out, nullptr),
+                 std::logic_error);
+    if (kernels::philoxLaneWidth() < 8) {
+        EXPECT_THROW(kernels::philoxAtWidth(8, 1, 0, 8, out, nullptr),
+                     std::logic_error);
     }
 }
 

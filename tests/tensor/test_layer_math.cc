@@ -94,6 +94,85 @@ TEST(LayerMath, ForwardMatchesOnePassFormulaBitwise)
     }
 }
 
+TEST(LayerMath, BackwardMatchesOnePassFormulaBitwise)
+{
+    // The mix rows (kMix * w_{i+1}, kMix * dz_{i-1}) and the split
+    // gradient loops keep each element's operations and order.
+    LayerParams p = makeParams(11);
+    Tensor in = makeInput(-0.4f);
+    Tensor gradOut = makeInput(0.7f);
+    Tensor gradIn(kLayerDim);
+    LayerGrads grads;
+    grads.weight.fill(0.25f);
+    grads.bias.fill(-0.5f);
+    layerBackward(p, in, gradOut, gradIn, grads);
+
+    float dz[kLayerDim];
+    for (std::size_t i = 0; i < kLayerDim; i++) {
+        std::size_t j = (i + 1) % kLayerDim;
+        float t = std::tanh(p.weight[i] * in[i] + kMixCoeff * p.weight[j] +
+                            p.bias[i]);
+        dz[i] = gradOut[i] * kResidual * (1.0f - t * t);
+    }
+    for (std::size_t i = 0; i < kLayerDim; i++) {
+        std::size_t prev = (i + kLayerDim - 1) % kLayerDim;
+        EXPECT_EQ(grads.weight[i],
+                  0.25f + (dz[i] * in[i] + kMixCoeff * dz[prev]))
+            << "element " << i;
+        EXPECT_EQ(grads.bias[i], -0.5f + dz[i]) << "element " << i;
+        EXPECT_EQ(gradIn[i], gradOut[i] + dz[i] * p.weight[i])
+            << "element " << i;
+    }
+}
+
+TEST(LayerMath, ForwardTanhFeedsBackwardBitwise)
+{
+    // layerForward's tanhOut is tanh(z), leaves the output unchanged,
+    // and the tail given it is layerBackward bit for bit.
+    for (std::uint64_t seed = 1; seed <= 8; seed++) {
+        LayerParams p = makeParams(seed);
+        Tensor in = makeInput(0.9f - 0.25f * static_cast<float>(seed));
+        Tensor out(kLayerDim), plain(kLayerDim), tanhZ(kLayerDim);
+        layerForward(p, in, out, tanhZ);
+        layerForward(p, in, plain);
+        EXPECT_TRUE(out.bitwiseEqual(plain)) << "seed " << seed;
+        for (std::size_t i = 0; i < kLayerDim; i++) {
+            std::size_t j = (i + 1) % kLayerDim;
+            EXPECT_EQ(tanhZ[i],
+                      std::tanh(p.weight[i] * in[i] +
+                                kMixCoeff * p.weight[j] + p.bias[i]))
+                << "seed " << seed << " element " << i;
+        }
+
+        Tensor gradOut = makeInput(0.1f * static_cast<float>(seed));
+        Tensor gradInA(kLayerDim), gradInB(kLayerDim);
+        LayerGrads a, b;
+        a.weight.fill(0.125f);
+        b.weight.fill(0.125f);
+        layerBackward(p, in, gradOut, gradInA, a);
+        layerBackwardFromTanh(p, in, tanhZ, gradOut, gradInB, b);
+        EXPECT_TRUE(gradInA.bitwiseEqual(gradInB)) << "seed " << seed;
+        EXPECT_TRUE(a.weight.bitwiseEqual(b.weight)) << "seed " << seed;
+        EXPECT_TRUE(a.bias.bitwiseEqual(b.bias)) << "seed " << seed;
+    }
+}
+
+TEST(LayerMath, ForwardTanhOutCoversEveryRow)
+{
+    LayerParams p = makeParams();
+    Tensor rows(2 * kLayerDim), out(2 * kLayerDim),
+        tanhZ(2 * kLayerDim);
+    for (std::size_t k = 0; k < rows.size(); k++)
+        rows[k] = 0.01f * static_cast<float>(k) - 0.6f;
+    layerForward(p, rows, out, tanhZ);
+    for (std::size_t k = 0; k < rows.size(); k++) {
+        EXPECT_EQ(out[k], rows[k] + kResidual * tanhZ[k])
+            << "element " << k;
+    }
+    Tensor tooShort(kLayerDim);
+    EXPECT_THROW(layerForward(p, rows, out, tooShort), std::logic_error);
+}
+
 TEST(LayerMath, ForwardRowsEqualOneRowCalls)
 {
     // Rows share the parameters and never mix: a 3-row call is three
@@ -201,16 +280,14 @@ TEST(LayerMath, GradsAccumulateAcrossCalls)
         EXPECT_NEAR(twice.weight[i], 2.0f * once.weight[i], 1e-6f);
 }
 
-TEST(LayerMath, GradClearAndAccumulate)
+TEST(LayerMath, GradClear)
 {
     LayerGrads g;
     g.weight[0] = 2.0f;
-    LayerGrads h;
-    h.weight[0] = 3.0f;
-    g.accumulate(h);
-    EXPECT_EQ(g.weight[0], 5.0f);
+    g.bias[1] = 3.0f;
     g.clear();
     EXPECT_EQ(g.weight[0], 0.0f);
+    EXPECT_EQ(g.bias[1], 0.0f);
 }
 
 TEST(LayerMath, ScalarCount)

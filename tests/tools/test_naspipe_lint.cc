@@ -44,6 +44,7 @@ TEST(LintRules, TableListsEveryRule)
                   "pointer-key-container", "det-suppression",
                   "wall-clock", "float-reduce-outside-kernels",
                   "libm-transcendental-outside-kernels",
+                  "simd-intrinsics-outside-kernels",
                   "relaxed-memory-order", "raw-mutex",
                   "lock-rank-order", "lock-cycle",
                   "blocking-under-lock", "unknown-lock-rank",
@@ -227,6 +228,46 @@ TEST(LintRules, LibmTranscendentalSkipsKernelsAndOtherTrees)
                            "kernels::tanh(z, z, n);\n"
                            "std::exponential_distribution<> d;\n"
                            "double e = std::expm1(x);\n")
+                    .empty());
+}
+
+TEST(LintRules, SimdIntrinsicsFireInSrcOutsideKernels)
+{
+    const std::vector<std::string> rule = {
+        "simd-intrinsics-outside-kernels"};
+    EXPECT_EQ(rulesOf(scanSource("src/common/rng.cc",
+                                 "#include <immintrin.h>\n")),
+              rule);
+    EXPECT_EQ(rulesOf(scanSource("src/train/x.cc",
+                                 "# include <emmintrin.h>\n")),
+              rule);
+    EXPECT_EQ(rulesOf(scanSource(
+                  "src/train/x.cc",
+                  "__m256i p = _mm256_mul_epu32(a, b);\n")),
+              rule);
+    EXPECT_EQ(rulesOf(scanSource("src/a.cc",
+                                 "auto s = _mm_add_epi32 (a, b);\n")),
+              rule);
+}
+
+TEST(LintRules, SimdIntrinsicsSkipKernelsAndOtherTrees)
+{
+    std::string src = "#include <immintrin.h>\n"
+                      "__m128i p = _mm_mul_epu32(a, b);\n";
+    // The kernel layer owns the vector code; tests and tools are
+    // outside the numeric plane.
+    EXPECT_TRUE(
+        scanSource("src/tensor/kernels/philox.cc", src).empty());
+    EXPECT_TRUE(scanSource("tests/common/test_rng.cc", src).empty());
+    EXPECT_TRUE(scanSource("tools/some_tool.cc", src).empty());
+    // Comments, strings, other headers and names that only contain
+    // "_mm" never fire.
+    EXPECT_TRUE(scanSource("src/a.cc",
+                           "// _mm_mul_epu32 and <immintrin.h>\n"
+                           "const char *s = \"_mm256_add_ps(\";\n"
+                           "#include <cstdint>\n"
+                           "int comm_mm_size = x_mm_add(a);\n"
+                           "kernels::philoxUniformFloats(k, 0, n, u, v);\n")
                     .empty());
 }
 

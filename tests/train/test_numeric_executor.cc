@@ -170,6 +170,82 @@ TEST_F(ExecFixture, WeightStashGradsUseForwardVersion)
               interleave(UpdateSemantics::Immediate));
 }
 
+/**
+ * SN0 forwards and computes its loss; when @p writeBetween is set,
+ * SN1 (same layers) then trains start to finish, so every layer SN0
+ * read has a newer version by SN0's backward. Returns the supernet
+ * hash after SN0 finishes.
+ */
+std::uint64_t
+runInterleaved(const SearchSpace &space, kernels::PrecisionMode precision,
+               UpdateSemantics semantics, bool writeBetween)
+{
+    ParameterStore s(space, 7, precision);
+    NumericExecutor::Config config;
+    config.dataSeed = 99;
+    config.batch = 192;
+    config.precision = precision;
+    NumericExecutor e(s, config);
+    const bool deferred = semantics == UpdateSemantics::Deferred;
+    Subnet a(0, {0, 1, 2, 0}), b(1, {0, 1, 2, 0});
+    e.beginSubnet(a);
+    e.forwardStage(a, 0, 3, semantics);
+    e.computeLoss(a);
+    if (writeBetween) {
+        e.beginSubnet(b);
+        e.forwardStage(b, 0, 3, semantics);
+        e.computeLoss(b);
+        e.backwardStage(b, 0, 3, semantics);
+        if (deferred)
+            e.applyDeferredUpdates({1});
+        e.finishSubnet(b);
+    }
+    e.backwardStage(a, 0, 3, semantics);
+    if (deferred)
+        e.applyDeferredUpdates({0});
+    e.finishSubnet(a);
+    return s.supernetHash();
+}
+
+TEST_F(ExecFixture, ForwardTanhReuseKeepsRecomputedBits)
+{
+    // Captured when every backward recomputed tanh(z) from the
+    // parameters current at backward time. The backward now reuses
+    // the forward's tanh(z) under WeightStash and while the layer's
+    // version is unchanged, and recomputes after SN1's writes
+    // (writeBetween), so every row must still match.
+    struct Case {
+        kernels::PrecisionMode precision;
+        UpdateSemantics semantics;
+        bool writeBetween;
+        std::uint64_t hash;
+    };
+    using P = kernels::PrecisionMode;
+    using U = UpdateSemantics;
+    const Case cases[] = {
+        {P::Fp32, U::Immediate, false, 0x8bbbaa81b7fa3c66ULL},
+        {P::Fp32, U::Immediate, true, 0x50abd8a32ee48e95ULL},
+        {P::Fp32, U::WeightStash, false, 0x8bbbaa81b7fa3c66ULL},
+        {P::Fp32, U::WeightStash, true, 0x8eadd4bd1ee55048ULL},
+        {P::Fp32, U::Deferred, false, 0x8bbbaa81b7fa3c66ULL},
+        {P::Fp32, U::Deferred, true, 0x50abd8a32ee48e95ULL},
+        {P::Fp16Rne, U::Immediate, false, 0xa8b3556da350465dULL},
+        {P::Fp16Rne, U::Immediate, true, 0x9ff9a1a22fab8d0fULL},
+        {P::Fp16Rne, U::WeightStash, false, 0xa8b3556da350465dULL},
+        {P::Fp16Rne, U::WeightStash, true, 0x9ff9a1a22fab8d0fULL},
+        {P::Fp16Rne, U::Deferred, false, 0xa8b3556da350465dULL},
+        {P::Fp16Rne, U::Deferred, true, 0x9ff9a1a22fab8d0fULL},
+    };
+    for (const Case &c : cases) {
+        EXPECT_EQ(runInterleaved(space, c.precision, c.semantics,
+                                 c.writeBetween),
+                  c.hash)
+            << kernels::precisionModeName(c.precision) << " "
+            << updateSemanticsName(c.semantics) << " writeBetween "
+            << c.writeBetween;
+    }
+}
+
 TEST_F(ExecFixture, SkipLayersPassThrough)
 {
     SearchSpace skippy("s", SpaceFamily::Nlp, 4, 3, 3, 0.4);

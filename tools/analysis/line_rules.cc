@@ -16,6 +16,7 @@ constexpr const char *kWallClock = "wall-clock";
 constexpr const char *kFloatReduce = "float-reduce-outside-kernels";
 constexpr const char *kLibmTranscendental =
     "libm-transcendental-outside-kernels";
+constexpr const char *kSimdIntrinsics = "simd-intrinsics-outside-kernels";
 
 /**
  * Variables declared as unordered containers in this file. Matches
@@ -169,6 +170,11 @@ lineRuleTable()
          "src/tensor/kernels/ — the host libm's bits are not part of "
          "the numeric contract; call kernels::tanh, whose bits are "
          "fixed by this repo (DESIGN.md §12)"},
+        {kSimdIntrinsics,
+         "<immintrin.h> (or another *intrin.h) or an _mm*_ intrinsic "
+         "call in src/ outside src/tensor/kernels/ — vector code and "
+         "its lane-width dispatch live in the kernel layer, next to "
+         "the tests that pin every width to the scalar bits"},
     };
     return kTable;
 }
@@ -185,8 +191,8 @@ runLineRules(const SourceFile &file)
                              pathContains(file.path, "bench/");
     const bool inKernelHome =
         pathContains(file.path, "src/tensor/kernels/");
-    const bool checksLibm = pathContains(file.path, "src/") &&
-                            !inKernelHome;
+    const bool inSrcOutsideKernels =
+        pathContains(file.path, "src/") && !inKernelHome;
 
     std::vector<Finding> findings;
     auto add = [&](std::size_t idx, const char *rule) {
@@ -207,6 +213,8 @@ runLineRules(const SourceFile &file)
         R"(\b(?:steady_clock|system_clock|high_resolution_clock)\b)");
     static const std::regex libmTranscendental(
         R"(\bstd\s*::\s*(?:tanh|exp)\b|\b(?:tanhf|expf)\b)");
+    static const std::regex simdIntrinsics(
+        R"(#\s*include\s*<\s*\w*intrin\.h\s*>|\b_mm\d*_\w+\s*\()");
 
     for (std::size_t i = 0; i < lines.code.size(); i++) {
         const std::string &code = lines.code[i];
@@ -235,8 +243,11 @@ runLineRules(const SourceFile &file)
             add(i, kPointerKeyContainer);
         if (!inClockHome && std::regex_search(code, wallClock))
             add(i, kWallClock);
-        if (checksLibm && std::regex_search(code, libmTranscendental))
+        if (inSrcOutsideKernels &&
+            std::regex_search(code, libmTranscendental))
             add(i, kLibmTranscendental);
+        if (inSrcOutsideKernels && std::regex_search(code, simdIntrinsics))
+            add(i, kSimdIntrinsics);
         if (std::regex_search(raw, todoDet))
             add(i, kDetSuppression);
     }
